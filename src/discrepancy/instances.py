@@ -67,9 +67,16 @@ def _value_from_json(value):
     raise ValueError(f"expected value must be an integer or 'p/q' string, got {value!r}")
 
 
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'list'}, got {value!r}")
+    return value
+
+
 def instance_from_doc(doc: dict) -> GadgetInstance:
+    _expect(doc, dict, "instance")
     dim = doc["dim"]
-    raw_params = doc["params"]
+    raw_params = _expect(doc["params"], dict, "params")
     params = GadgetParams(
         k=raw_params["k"],
         n=raw_params["n"],
@@ -81,18 +88,22 @@ def instance_from_doc(doc: dict) -> GadgetInstance:
         },
     )
     pts = []
-    for entry in doc["points"]:
-        coords = entry["coords"]
+    for entry in _expect(doc["points"], list, "points"):
+        _expect(entry, dict, "point entry")
+        coords = _expect(entry["coords"], list, "coords")
         if len(coords) != dim:
             raise ValueError("coords length does not match dim")
         for c in coords:
             if not isinstance(c, str):
                 raise ValueError(f"coordinates must be 'p/q' strings, got {c!r}")
+        weight = entry.get("weight", 1)
+        if isinstance(weight, bool) or not isinstance(weight, int):
+            raise ValueError(f"weight must be an integer, got {weight!r}")
         pts.append(
             WeightedPoint(
                 tuple(parse_rational(c) for c in coords),
                 entry.get("color"),
-                entry.get("weight", 1),
+                weight,
                 entry.get("in_S", False),
             )
         )

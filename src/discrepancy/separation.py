@@ -1,14 +1,29 @@
 """Exact linear feasibility over the rationals.
 
-A single entry point decides systems {x : coeffs . x <= rhs} with free
-variables and, when feasible, returns a witness point.  The method is a
-dense phase-1 simplex with Bland's rule (smallest-index entering column,
-smallest basis index on ratio ties), which terminates without cycling.
-All arithmetic is `Fraction`; there is no tolerance anywhere.
+A single entry point decides systems {x : A x <= b} with free variables
+and, when feasible, returns a witness point.  It pivots not on the system
+but on its Farkas alternative {y >= 0 : A^T y = 0, b . y = -1}, which is
+feasible exactly when the system is not: a standard-form phase-1 with
+nvars + 1 equality rows (the b-row negated so every right-hand side is
+nonnegative), one column per constraint and one artificial per row.  For
+the half-space solver's margin system (b . w <= c for blues, r . w >= c + 1
+for reds) the alternative asks for convex weights on the blues and on the
+reds with a common centroid: it is the test "conv(B) meets conv(R)", on
+d + 2 rows however many points there are.
 
-The half-space solver uses this to find a separating witness.  The test
-suite's independent reference route is Fourier-Motzkin elimination in
-`oracles`, so the two decisions never share code.
+A phase-1 optimum of 0 means the alternative is feasible, so the result is
+None.  Otherwise the simplex multipliers pi of the final basis satisfy
+pi[:nvars] . A_i <= pi[nvars] b_i for every constraint (the reduced costs
+of the constraint columns are nonnegative), and pi[nvars] is the positive
+optimum, so x = pi[:nvars] / pi[nvars] satisfies every row exactly.  The
+artificial columns start as the identity with cost 1, so their negated
+reduced costs, kept in the cost row, are pi - 1.
+
+Pivoting uses Bland's rule (smallest-index entering column, smallest basis
+index on ratio ties), which terminates without cycling; artificials never
+re-enter.  All arithmetic is `Fraction`; there is no tolerance anywhere.
+The test suite's independent reference route is Fourier-Motzkin
+elimination in `oracles`, so the two decisions never share code.
 """
 
 from __future__ import annotations
@@ -23,11 +38,7 @@ Constraint = tuple[Sequence[Fraction], Fraction]
 
 
 def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[list[Fraction]]:
-    """A point satisfying coeffs . x <= rhs for every constraint, or None.
-
-    Variables are free; internally each is split into a difference of two
-    nonnegative variables and rows are slacked into equalities.
-    """
+    """A point satisfying coeffs . x <= rhs for every constraint, or None."""
     rows = []
     for coeffs, rhs in constraints:
         coeffs = tuple(Fraction(c) for c in coeffs)
@@ -41,50 +52,27 @@ def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[li
     if not rows:
         return [ZERO] * nvars
 
+    # Columns 0..m-1 are the multipliers y of the constraints; columns
+    # m..m+nvars are the artificials, one per row, starting as the basis.
     m = len(rows)
-    art_rows = [i for i, (_, rhs) in enumerate(rows) if rhs < 0]
-    n_cols = 2 * nvars + m + len(art_rows)
-    tableau: list[list[Fraction]] = []
-    rhs_col: list[Fraction] = []
-    basis: list[int] = []
+    k = nvars + 1
+    tableau = [[coeffs[j] for coeffs, _ in rows] for j in range(nvars)]
+    tableau.append([-rhs for _, rhs in rows])
+    # Phase-1 objective: minimize the sum of artificials.  The cost row
+    # holds minus the reduced costs: column sums, and 1 - 1 on artificials.
+    cost = [sum(col) for col in zip(*tableau)] + [ZERO] * k
+    for i, row in enumerate(tableau):
+        row.extend(ONE if r == i else ZERO for r in range(k))
+    rhs_col = [ZERO] * nvars + [ONE]
+    basis = list(range(m, m + k))
 
-    art_index = {}
-    for pos, i in enumerate(art_rows):
-        art_index[i] = 2 * nvars + m + pos
-
-    for i, (coeffs, rhs) in enumerate(rows):
-        sign = ONE if rhs >= 0 else -ONE
-        row = [ZERO] * n_cols
-        for j, c in enumerate(coeffs):
-            row[j] = sign * c
-            row[nvars + j] = -sign * c
-        row[2 * nvars + i] = sign
-        if rhs >= 0:
-            basis.append(2 * nvars + i)
-        else:
-            row[art_index[i]] = ONE
-            basis.append(art_index[i])
-        tableau.append(row)
-        rhs_col.append(sign * rhs)
-
-    # Phase-1 objective: minimize the sum of artificials.  The reduced-cost
-    # row is the sum of the artificial rows with the artificial columns
-    # themselves zeroed out.
-    cost = [ZERO] * n_cols
-    for i in art_rows:
-        for j in range(n_cols):
-            cost[j] += tableau[i][j]
-    for col in art_index.values():
-        cost[col] = ZERO
-
-    n_real = 2 * nvars + m  # artificial columns never re-enter
     while True:
-        entering = next((j for j in range(n_real) if cost[j] > 0), None)
+        entering = next((j for j in range(m) if cost[j] > 0), None)
         if entering is None:
             break
         leaving = None
         best_ratio = None
-        for i in range(m):
+        for i in range(k):
             coeff = tableau[i][entering]
             if coeff > 0:
                 ratio = rhs_col[i] / coeff
@@ -102,14 +90,10 @@ def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[li
         _pivot(tableau, rhs_col, cost, leaving, entering)
         basis[leaving] = entering
 
-    residual = sum(rhs_col[i] for i in range(m) if basis[i] >= n_real)
-    if residual != 0:
+    pi = [cost[m + i] + ONE for i in range(k)]
+    if pi[nvars] == 0:
         return None
-
-    values = [ZERO] * n_cols
-    for i, b in enumerate(basis):
-        values[b] = rhs_col[i]
-    return [values[j] - values[nvars + j] for j in range(nvars)]
+    return [p / pi[nvars] for p in pi[:nvars]]
 
 
 def _pivot(tableau, rhs_col, cost, row: int, col: int) -> None:

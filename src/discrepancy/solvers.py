@@ -21,8 +21,11 @@ a witness range.  The completeness arguments, recorded here once:
 * Half-spaces: a closed half-space with blue weight >= m and no reds
   exists iff some subset of at most m distinct blue points of total weight
   >= m is strongly separable from the reds, which is decided by exact
-  linear feasibility (a margin-1 system; scaling makes strict separation
-  equivalent).  No hyperplane-enumeration shortcut is trusted.
+  linear feasibility of a margin-1 system (scaling makes strict
+  separation equivalent).  `separation.feasible_point` pivots on its
+  Farkas alternative, i.e. it tests whether conv(subset) meets conv(reds)
+  on d + 2 rows, and reads the separating (normal, offset) off the
+  phase-1 multipliers.  No hyperplane-enumeration shortcut is trusted.
 
 Candidate enumeration walks the per-dimension grids in odometer order,
 filtering the point list one dimension at a time so membership tests are
@@ -162,7 +165,7 @@ def _run_scan(scan, args, workers: int):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(scan, *args, p, workers) for p in range(workers)]
             return [f.result() for f in futures]
-    except (OSError, PermissionError):
+    except OSError:
         # No subprocess support in this environment; the partitioned
         # computation is identical either way.
         return [scan(*args, p, workers) for p in range(workers)]

@@ -127,6 +127,21 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert cli.main(["solve", str(tmp_path / "missing.json")]) == 2
 
 
+def test_malformed_instance_files_exit_two(edge_file, tmp_path, capsys):
+    good = tmp_path / "es.json"
+    cli.main(["gadget", "--type", "empty-star", "--graph", edge_file, "-k", "2", "-o", str(good)])
+    doc = json.loads(good.read_text())
+    bad_entry = dict(doc, points=[5] + doc["points"][1:])
+    bad_weight = json.loads(good.read_text())
+    bad_weight["points"][0]["weight"] = True
+    capsys.readouterr()
+    for content in ([], 3, "x", bad_entry, dict(doc, points=7), bad_weight):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        assert cli.main(["solve", str(path)]) == 2, content
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bench_rows_and_skip(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = cli.main([

@@ -76,6 +76,17 @@ def test_coords_length_must_match_dim(single_edge):
         instance_from_doc(doc)
 
 
+def test_weight_must_be_an_integer(single_edge):
+    inst = build_star_discrepancy_gadget(single_edge, 2)
+    doc = json.loads(dumps_instance(inst))
+    for weight in (True, False, 1.0, 1.5, "2", None):
+        doc["points"][0]["weight"] = weight
+        with pytest.raises(ValueError, match="weight"):
+            instance_from_doc(doc)
+    doc["points"][0]["weight"] = 3
+    assert instance_from_doc(doc).points.points[0].weight == 3
+
+
 def test_parse_graph_k3():
     g = parse_graph("3 3\n1 2\n2 3\n1 3")
     assert g.n == 3 and g.has_edge(1, 3)

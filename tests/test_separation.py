@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from discrepancy.oracles import separable_subset
+from discrepancy.oracles import _fm_feasible, separable_subset
 from discrepancy.separation import feasible_point
 
 F = Fraction
@@ -65,5 +65,88 @@ def test_agrees_with_fourier_motzkin_on_random_separations():
         rows += [(tuple(-c for c in r) + (F(1),), F(-1)) for r in reds]
         x = feasible_point(rows, d + 1)
         assert (x is not None) == separable_subset(blues, reds)
+        if x is not None:
+            _check(rows, d + 1, x)
+
+
+def _random_general_system(rng):
+    nvars = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(nvars + 1, nvars + 4)):
+        roll = rng.random()
+        if rows and roll < 0.15:
+            rows.append(rng.choice(rows))  # duplicate row
+            continue
+        if roll < 0.25:
+            coeffs = (F(0),) * nvars  # zero row
+        else:
+            coeffs = tuple(
+                F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.8 else F(0)
+                for _ in range(nvars)
+            )
+        rhs = F(rng.randint(-4, 4), rng.randint(1, 2)) if rng.random() < 0.7 else F(0)
+        rows.append((coeffs, rhs))
+    return rows, nvars
+
+
+def test_agrees_with_fourier_motzkin_on_random_general_systems():
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(300):
+        rows, nvars = _random_general_system(rng)
+        x = feasible_point(rows, nvars)
+        assert (x is not None) == _fm_feasible(rows, nvars), rows
+        if x is not None:
+            assert len(x) == nvars
+            _check(rows, nvars, x)
+        verdicts.add(x is not None)
+    assert verdicts == {True, False}
+
+
+def _margin_rows(blues, reds):
+    rows = [(b + (F(-1),), F(0)) for b in blues]
+    return rows + [(tuple(-c for c in r) + (F(1),), F(-1)) for r in reds]
+
+
+def _convex_combination(rng, points):
+    weights = [F(rng.randint(1, 4)) for _ in points]
+    total = sum(weights)
+    return tuple(
+        sum(w * p[j] for w, p in zip(weights, points)) / total for j in range(len(points[0]))
+    )
+
+
+def test_planted_verdicts_at_gadget_shape():
+    # d = 4-5 with 1-3 blues and 10-20 reds, as in the half-space gadgets'
+    # subset systems.  Fourier-Motzkin is too slow at this size, so each
+    # verdict is planted: either a strictly separating hyperplane exists by
+    # construction, or one point lies in the convex hull of the other color.
+    rng = random.Random(4)
+    for trial in range(60):
+        d = rng.randint(4, 5)
+        pts = {tuple(F(rng.randint(0, 8), 8) for _ in range(d)) for _ in range(40)}
+        pts = sorted(pts)
+        nblue, nred = rng.randint(1, 3), rng.randint(10, 20)
+        if trial % 2 == 0:
+            normal = tuple(rng.randint(-3, 3) for _ in range(d))
+            if not any(normal):
+                normal = (1,) + normal[1:]
+            pts.sort(key=lambda p: sum(a * c for a, c in zip(normal, p)))
+            blues = pts[:nblue]
+            top = sum(a * c for a, c in zip(normal, blues[-1]))
+            reds = [p for p in pts[nblue:] if sum(a * c for a, c in zip(normal, p)) > top][:nred]
+            expected = True
+        else:
+            rng.shuffle(pts)
+            blues, reds = pts[:nblue], pts[nblue:nblue + nred]
+            if trial % 4 == 1:
+                reds[rng.randrange(len(reds))] = _convex_combination(rng, blues)
+            else:
+                blues[0] = _convex_combination(rng, rng.sample(reds, rng.randint(2, 3)))
+            expected = False
+        assert len(reds) >= 10
+        rows = _margin_rows(blues, reds)
+        x = feasible_point(rows, d + 1)
+        assert (x is not None) == expected, (blues, reds)
         if x is not None:
             _check(rows, d + 1, x)
