@@ -154,7 +154,8 @@ def _expected_outcome(inst: gadgets.GadgetInstance, clique: bool):
     if problem in ("redblue-disc", "star-disc", "box-disc"):
         return ("eq" if clique else "lt", inst.expected_positive)
     if problem in ("empty-star", "empty-box"):
-        return ("eq", inst.expected_positive if clique else inst.expected_negative)
+        # A no-instance stays at or below C^k/mu, attained iff a (k-1)-clique.
+        return ("eq", inst.expected_positive) if clique else ("le", inst.expected_negative)
     if problem == "halfspace-bichromatic":
         return ("feasible", clique)
     if problem in ("net-halfspace", "net-box"):
@@ -205,15 +206,18 @@ def _verify(kind: str, graph: gadgets.Graph, k: int, workers: int, out) -> int:
     elif problem == "redblue-disc":
         got = solvers.solve_redblue_box_discrepancy(ps, workers=workers).value
         ok = got == inst.expected_positive if clique else got < inst.expected_positive
-    elif problem == "empty-star":
-        got = solvers.solve_max_empty_star(ps, workers=workers).volume
-        ok = got == (inst.expected_positive if clique else inst.expected_negative)
+    elif problem in ("empty-star", "empty-box"):
+        solve = solvers.solve_max_empty_star if problem == "empty-star" else solvers.solve_max_empty_box
+        got = solve(ps, workers=workers).volume
+        if clique:
+            ok = got == inst.expected_positive
+        else:
+            ok = got <= inst.expected_negative and (
+                (got == inst.expected_negative) == oracles.has_clique(graph, k - 1)
+            )
     elif problem == "star-disc":
         got = solvers.solve_star_discrepancy(ps, workers=workers).value
         ok = got == inst.expected_positive if clique else got < inst.expected_positive
-    elif problem == "empty-box":
-        got = solvers.solve_max_empty_box(ps, workers=workers).volume
-        ok = got == (inst.expected_positive if clique else inst.expected_negative)
     elif problem == "box-disc":
         got = solvers.solve_box_discrepancy(ps, workers=workers).value
         ok = got == inst.expected_positive if clique else got < inst.expected_positive

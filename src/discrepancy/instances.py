@@ -73,15 +73,22 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_doc(doc: dict) -> GadgetInstance:
     _expect(doc, dict, "instance")
     dim = doc["dim"]
     raw_params = _expect(doc["params"], dict, "params")
+    t = raw_params.get("t")
     params = GadgetParams(
-        k=raw_params["k"],
-        n=raw_params["n"],
-        N=raw_params["N"],
-        t=raw_params.get("t"),
+        k=_integer(raw_params["k"], "params.k"),
+        n=_integer(raw_params["n"], "params.n"),
+        N=_integer(raw_params["N"], "params.N"),
+        t=None if t is None else _integer(t, "params.t"),
         **{
             name: parse_rational(raw_params[name]) if name in raw_params else None
             for name in _PARAM_RATIONALS
@@ -96,15 +103,15 @@ def instance_from_doc(doc: dict) -> GadgetInstance:
         for c in coords:
             if not isinstance(c, str):
                 raise ValueError(f"coordinates must be 'p/q' strings, got {c!r}")
-        weight = entry.get("weight", 1)
-        if isinstance(weight, bool) or not isinstance(weight, int):
-            raise ValueError(f"weight must be an integer, got {weight!r}")
+        in_s = entry.get("in_S", False)
+        if not isinstance(in_s, bool):
+            raise ValueError(f"in_S must be true or false, got {in_s!r}")
         pts.append(
             WeightedPoint(
                 tuple(parse_rational(c) for c in coords),
                 entry.get("color"),
-                weight,
-                entry.get("in_S", False),
+                _integer(entry.get("weight", 1), "weight"),
+                in_s,
             )
         )
     expected_negative = doc.get("expected_negative")

@@ -30,27 +30,37 @@ a witness range.  The completeness arguments, recorded here once:
 Candidate enumeration walks the per-dimension grids in odometer order,
 filtering the point list one dimension at a time so membership tests are
 incremental.  Coordinates are replaced by per-dimension ranks (integers)
-up front; exact Fraction arithmetic reappears only for volumes and
-reported values.  Pruning is used where a sound bound exists (residual
-volume for empty-range search, surviving majority weight for the
-combinatorial problems) and always with a strict inequality, so ties at
-the optimum are never discarded and the reported witness is independent
-of traversal order.
+up front.  The star, box, empty-star and empty-box problems share one
+scan over per-dimension rank intervals whose hot loop is integer-only:
+dimension j is scaled by the lcm D_j of its denominators, so volumes are
+integers over P = prod(D_j) and discrepancy values integers over W * P;
+`Fraction`s are built only for the report.  Pruning is used where a sound
+bound exists (residual volume for empty-range search; for the two-sided
+discrepancy objective, an excess bound from the closed count and the
+smallest remaining volume together with a deficit bound from the largest
+remaining volume; surviving majority weight for the combinatorial
+problems) and always with a strict inequality, so ties at the optimum are
+never discarded and the reported witness is independent of traversal
+order.  A discrepancy scan still reports the size of its definitional
+grid as `candidates_evaluated`, counted in closed form.
 
 Determinism: among all optimal candidates the solver reports the one with
 the lexicographically smallest witness key (corner tuple for anchored
 boxes, lower corner then upper corner for free boxes; excess before
 deficit on a full tie).  Parallel runs partition the first dimension's
 candidates, solve partitions independently, and merge with the same
-comparison, so the result is identical for any worker count.
+comparison, so the result is identical for any worker count.  The pool
+never exceeds the CPU count, nor, for the box scan, the number of
+first-dimension intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import os
 from itertools import combinations
-from math import ceil
+from math import ceil, lcm, prod
 from time import perf_counter
 from typing import Sequence, Union
 
@@ -124,16 +134,6 @@ def _prep(ps: PointSet, with_zero: bool, with_one: bool):
     return values, pts
 
 
-def _face_indices(values, ps: PointSet):
-    """Lower-face (coords or 0) and upper-face (coords or 1) index lists."""
-    a_lists, b_lists = [], []
-    for j, vals in enumerate(values):
-        coords = {p.coords[j] for p in ps.points}
-        a_lists.append([i for i, v in enumerate(vals) if v == ZERO or v in coords])
-        b_lists.append([i for i, v in enumerate(vals) if v == ONE or v in coords])
-    return a_lists, b_lists
-
-
 def _require_nonempty(ps: PointSet) -> None:
     if not ps.points:
         raise ValueError("empty point set")
@@ -157,6 +157,7 @@ def _merge(results):
 
 
 def _run_scan(scan, args, workers: int):
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return [scan(*args, 0, 1)]
     try:
@@ -172,190 +173,136 @@ def _run_scan(scan, args, workers: int):
 
 
 # ---------------------------------------------------------------------------
-# Continuous discrepancy scans (full enumeration; no sound prune exists for
-# the two-sided objective, and the candidate count doubles as the bench's
-# definitional grid size).
+# Box scan for the star, box, empty-star and empty-box problems: one
+# odometer over per-dimension rank intervals, in scaled integers, with
+# strict bounds.
 
 
-def _scan_star(values, pts, weight, part, nparts):
-    d = len(values)
-    best = None  # (value, corner+(siderank,), side)
-    cands = 0
-    corner: list = [None] * d
-    total = sum(p[1] for p in pts)
+def _intervals(values, ps: PointSet, anchored: bool, empty: bool):
+    """Per-dimension face choices as rank intervals (lo, hi, length).
 
-    def rec(j, vol, closed_pts, cw, open_pts, ow):
-        nonlocal best, cands
-        if j == d:
-            cands += 1
-            corner_t = tuple(corner)
-            for rank, (val, side) in enumerate(
-                ((Fraction(cw, weight) - vol, "excess"), (vol - Fraction(ow, weight), "deficit"))
-            ):
-                key = corner_t + (rank,)
-                if best is None or val > best[0] or (val == best[0] and key < best[1]):
-                    best = (val, key, side)
-            return
-        vals = values[j]
-        indices = range(part, len(vals), nparts) if j == 0 else range(len(vals))
-        for idx in indices:
-            nc, ncw = [], 0
-            for p in closed_pts:
-                if p[0][j] <= idx:
-                    nc.append(p)
-                    ncw += p[1]
-            no, now = [], 0
-            for p in open_pts:
-                if p[0][j] < idx:
-                    no.append(p)
-                    now += p[1]
-            corner[j] = vals[idx]
-            rec(j + 1, vol * vals[idx], nc, ncw, no, now)
-
-    rec(0, Fraction(1), pts, total, pts, total)
-    return best, cands
+    Dimension j is scaled by D_j, the lcm of its values' denominators, so
+    every length is an integer and a volume is an integer over
+    P = prod(D_j), which is returned alongside.  An anchored interval has
+    lo = -1, so its lower face is inclusive under both closures.  A free
+    interval takes lo from the coordinates or 0 and hi from the coordinates
+    or 1.  Empty mode drops degenerate free intervals (an open box with a
+    zero side is empty at volume 0, below any open grid cell) and orders
+    each list by descending length, ties in (lo, hi) order.
+    """
+    dims, scale = [], 1
+    for j, vals in enumerate(values):
+        den = lcm(*(v.denominator for v in vals))
+        ints = [v.numerator * (den // v.denominator) for v in vals]
+        scale *= den
+        if anchored:
+            ivs = [(-1, i, x) for i, x in enumerate(ints)]
+        else:
+            coords = {p.coords[j] for p in ps.points}
+            los = [i for i, v in enumerate(vals) if v == ZERO or v in coords]
+            his = [i for i, v in enumerate(vals) if v == ONE or v in coords]
+            ivs = [
+                (a, b, ints[b] - ints[a])
+                for a in los
+                for b in his
+                if a < b or (a == b and not empty)
+            ]
+        if empty:
+            ivs.sort(key=lambda iv: -iv[2])
+        dims.append(ivs)
+    return dims, scale
 
 
-def _scan_box_disc(values, a_lists, b_lists, pts, weight, part, nparts):
-    d = len(values)
-    best = None  # (value, lower+upper+(siderank,), side)
-    cands = 0
-    lower: list = [None] * d
-    upper: list = [None] * d
-    total = sum(p[1] for p in pts)
+def _scan_boxes(dims, pts, weight, scale, part, nparts):
+    """Best box over the product of `dims`, first dimension partitioned.
 
-    pair_lists = [
-        [(a, b) for a in a_lists[j] for b in b_lists[j] if a <= b] for j in range(d)
-    ]
+    `pts` holds (rank_0, ..., rank_{d-1}, weight) tuples.  A point lies in
+    the closed box when lo <= rank <= hi in every dimension and in the open
+    box when lo < rank < hi.  Returns (best, candidates) with best =
+    (numerator, key) and key = lo ranks + hi ranks (+ side rank 0 for
+    excess, 1 for deficit); ties go to the smallest key.
 
-    def rec(j, vol, closed_pts, cw, open_pts, ow):
-        nonlocal best, cands
-        if j == d:
-            cands += 1
-            key_base = tuple(lower) + tuple(upper)
-            for rank, (val, side) in enumerate(
-                ((Fraction(cw, weight) - vol, "excess"), (vol - Fraction(ow, weight), "deficit"))
-            ):
-                key = key_base + (rank,)
-                if best is None or val > best[0] or (val == best[0] and key < best[1]):
-                    best = (val, key, side)
-            return
-        pairs = pair_lists[j]
-        if j == 0:
-            pairs = pairs[part::nparts]
-        vals = values[j]
-        for a, b in pairs:
-            nc, ncw = [], 0
-            for p in closed_pts:
-                if a <= p[0][j] <= b:
-                    nc.append(p)
-                    ncw += p[1]
-            no, now = [], 0
-            for p in open_pts:
-                if a < p[0][j] < b:
-                    no.append(p)
-                    now += p[1]
-            lower[j] = vals[a]
-            upper[j] = vals[b]
-            rec(j + 1, vol * (vals[b] - vals[a]), nc, ncw, no, now)
+    Discrepancy mode (`weight` = W): values are integers over W * P,
+    excess cw * P - W * vol and deficit W * vol - ow * P.  A subtree at
+    depth j is skipped only when both its excess bound
+    cw * P - W * vol * prod(minlen[j:]) and its deficit bound
+    W * vol * prod(maxlen[j:]) are strictly below the incumbent.  The
+    candidate count is this partition's share of the definitional grid.
 
-    rec(0, Fraction(1), pts, total, pts, total)
-    return best, cands
-
-
-# ---------------------------------------------------------------------------
-# Empty-range scans (residual-volume pruning, strict, plus a shortcut: once
-# no point can lie strictly inside, the only completions worth scoring are
-# the largest one, or the lexicographically smallest one when the volume is
-# already pinned to zero).
-
-
-def _scan_empty_star(values, pts, part, nparts):
-    d = len(values)
-    maxs = [vals[-1] for vals in values]
-    mins = [vals[0] for vals in values]
-    tail = [Fraction(1)] * (d + 1)
+    Empty mode (`weight` None): values are volumes over P, open boxes
+    only.  Intervals come longest first, so a residual volume below the
+    incumbent ends the loop; once no point can lie strictly inside, the
+    only completion scored is the longest one, or the smallest key when
+    the volume is already 0.  Each scored completion is one candidate.
+    """
+    d = len(dims)
+    first = dims[0][part::nparts]
+    mintail, maxtail = [1] * (d + 1), [1] * (d + 1)
     for j in range(d - 1, -1, -1):
-        tail[j] = tail[j + 1] * maxs[j]
-    best = None  # (volume, corner)
-    cands = 0
-    corner: list = [None] * d
+        mintail[j] = mintail[j + 1] * min(iv[2] for iv in dims[j])
+        maxtail[j] = maxtail[j + 1] * max(iv[2] for iv in dims[j])
+    lo: list = [None] * d
+    hi: list = [None] * d
+    best = None
 
-    def rec(j, vol, open_pts):
+    def empty(j, vol, opened):
         nonlocal best, cands
-        if not open_pts:
+        if not opened:
             cands += 1
-            rest = mins[j:] if vol == 0 else maxs[j:]
-            v = vol
-            for t in rest:
-                v *= t
-            corner_t = tuple(corner[:j]) + tuple(rest)
-            if best is None or v > best[0] or (v == best[0] and corner_t < best[1]):
-                best = (v, corner_t)
+            if vol:
+                rest = [ivs[0] for ivs in dims[j:]]
+                vol *= maxtail[j]
+            else:
+                rest = [min(ivs) for ivs in dims[j:]]
+            key = (
+                tuple(lo[:j]) + tuple(iv[0] for iv in rest)
+                + tuple(hi[:j]) + tuple(iv[1] for iv in rest)
+            )
+            if best is None or vol > best[0] or (vol == best[0] and key < best[1]):
+                best = (vol, key)
             return
         if j == d:
             return  # some point lies strictly inside
-        vals = values[j]
-        indices = range(part, len(vals), nparts) if j == 0 else range(len(vals))
-        for idx in sorted(indices, reverse=True):
-            if best is not None and vol * vals[idx] * tail[j + 1] < best[0]:
+        for a, b, length in first if j == 0 else dims[j]:
+            nvol = vol * length
+            if best is not None and nvol * maxtail[j + 1] < best[0]:
                 break
-            corner[j] = vals[idx]
-            rec(j + 1, vol * vals[idx], [p for p in open_pts if p[0][j] < idx])
+            lo[j], hi[j] = a, b
+            empty(j + 1, nvol, [p for p in opened if a < p[j] < b])
 
-    rec(0, Fraction(1), pts)
-    return best, cands
-
-
-def _scan_empty_box(values, a_lists, b_lists, pts, part, nparts):
-    d = len(values)
-    pair_lists = []
-    for j in range(d):
-        vals = values[j]
-        pairs = [
-            (vals[b] - vals[a], a, b) for a in a_lists[j] for b in b_lists[j] if a < b
-        ]
-        pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-        pair_lists.append(pairs)
-    maxlen = [pl[0][0] if pl else ZERO for pl in pair_lists]
-    tail = [Fraction(1)] * (d + 1)
-    for j in range(d - 1, -1, -1):
-        tail[j] = tail[j + 1] * maxlen[j]
-    best = None  # (volume, lower+upper)
-    cands = 0
-    lower: list = [None] * d
-    upper: list = [None] * d
-
-    def rec(j, vol, open_pts):
-        nonlocal best, cands
-        if not open_pts:
-            cands += 1
-            if vol == 0:
-                rest_lo = [values[l][0] for l in range(j, d)]
-                rest_hi = [values[l][1] for l in range(j, d)]
-                v = ZERO
-            else:
-                rest_lo = [values[l][0] for l in range(j, d)]
-                rest_hi = [values[l][-1] for l in range(j, d)]
-                v = vol * tail[j]
-            key = tuple(lower[:j]) + tuple(rest_lo) + tuple(upper[:j]) + tuple(rest_hi)
-            if best is None or v > best[0] or (v == best[0] and key < best[1]):
-                best = (v, key)
-            return
+    def disc(j, vol, closed, cw, opened, ow):
+        nonlocal best
         if j == d:
+            val, side = cw * scale - weight * vol, 0
+            deficit = weight * vol - ow * scale
+            if deficit > val:
+                val, side = deficit, 1
+            if best is None or val >= best[0]:
+                key = tuple(lo) + tuple(hi) + (side,)
+                if best is None or val > best[0] or key < best[1]:
+                    best = (val, key)
             return
-        pairs = pair_lists[j]
-        if j == 0:
-            pairs = pairs[part::nparts]
-        vals = values[j]
-        for length, a, b in pairs:
-            if best is not None and vol * length * tail[j + 1] < best[0]:
-                break
-            lower[j] = vals[a]
-            upper[j] = vals[b]
-            rec(j + 1, vol * length, [p for p in open_pts if a < p[0][j] < b])
+        for a, b, length in first if j == 0 else dims[j]:
+            nvol = vol * length
+            nc = [p for p in closed if a <= p[j] <= b]
+            ncw = sum([p[-1] for p in nc])
+            if (
+                best is not None
+                and weight * nvol * maxtail[j + 1] < best[0]
+                and ncw * scale - weight * nvol * mintail[j + 1] < best[0]
+            ):
+                continue
+            no = [p for p in opened if a < p[j] < b]
+            lo[j], hi[j] = a, b
+            disc(j + 1, nvol, nc, ncw, no, sum([p[-1] for p in no]))
 
-    rec(0, Fraction(1), pts)
+    if weight is None:
+        cands = 0
+        empty(0, 1, pts)
+    else:
+        cands = len(first) * prod(len(ivs) for ivs in dims[1:])
+        total = sum(p[-1] for p in pts)
+        disc(0, 1, pts, total, pts, total)
     return best, cands
 
 
@@ -481,15 +428,32 @@ def _seed_majority(values, pts, major, mode, anchored=False):
 # Public solvers.
 
 
+def _solve_boxes(ps: PointSet, anchored: bool, weight, workers: int):
+    """Run the box scan; returns (value, lower, upper, side, candidates).
+
+    `weight` None asks for the largest empty open box (side is None then).
+    Anchored boxes report lower = None."""
+    values, pts = _prep(ps, with_zero=not anchored, with_one=True)
+    dims, scale = _intervals(values, ps, anchored, empty=weight is None)
+    pts = [ranks + (w,) for ranks, w, _ in pts]
+    workers = min(workers, len(dims[0]))
+    (num, key), cands = _merge(_run_scan(_scan_boxes, (dims, pts, weight, scale), workers))
+    d = ps.dim
+    lower = None if anchored else tuple(values[j][i] for j, i in enumerate(key[:d]))
+    upper = tuple(values[j][i] for j, i in enumerate(key[d : 2 * d]))
+    if weight is None:
+        return Fraction(num, scale), lower, upper, None, cands
+    side = "deficit" if key[-1] else "excess"
+    return Fraction(num, scale * weight), lower, upper, side, cands
+
+
 def solve_star_discrepancy(ps: PointSet, workers: int = 1) -> DiscrepancyReport:
     """Largest |vol - count/W| over anchored boxes inside the unit cube."""
     t0 = perf_counter()
     _require_nonempty(ps)
     _require_unit_cube(ps)
-    values, pts = _prep(ps, with_zero=False, with_one=True)
-    best, cands = _merge(_run_scan(_scan_star, (values, pts, ps.total_weight), workers))
-    value, key, side = best
-    witness = AnchoredBox(key[:-1], closed=(side == "excess"))
+    value, _, upper, side, cands = _solve_boxes(ps, True, ps.total_weight, workers)
+    witness = AnchoredBox(upper, closed=(side == "excess"))
     return DiscrepancyReport(value, witness, side, cands, perf_counter() - t0)
 
 
@@ -498,16 +462,8 @@ def solve_box_discrepancy(ps: PointSet, workers: int = 1) -> DiscrepancyReport:
     t0 = perf_counter()
     _require_nonempty(ps)
     _require_unit_cube(ps)
-    values, pts = _prep(ps, with_zero=True, with_one=True)
-    a_lists, b_lists = _face_indices(values, ps)
-    best, cands = _merge(
-        _run_scan(
-            _scan_box_disc, (values, a_lists, b_lists, pts, ps.total_weight), workers
-        )
-    )
-    value, key, side = best
-    d = ps.dim
-    witness = Box(key[:d], key[d : 2 * d], closed=(side == "excess"))
+    value, lower, upper, side, cands = _solve_boxes(ps, False, ps.total_weight, workers)
+    witness = Box(lower, upper, closed=(side == "excess"))
     return DiscrepancyReport(value, witness, side, cands, perf_counter() - t0)
 
 
@@ -518,10 +474,8 @@ def solve_max_empty_star(ps: PointSet, workers: int = 1) -> EmptyBoxReport:
     if not ps.points:
         witness = AnchoredBox((ONE,) * ps.dim, closed=False)
         return EmptyBoxReport(Fraction(1), witness, 1, perf_counter() - t0)
-    values, pts = _prep(ps, with_zero=False, with_one=True)
-    best, cands = _merge(_run_scan(_scan_empty_star, (values, pts), workers))
-    volume, corner = best
-    return EmptyBoxReport(volume, AnchoredBox(corner, closed=False), cands, perf_counter() - t0)
+    volume, _, upper, _, cands = _solve_boxes(ps, True, None, workers)
+    return EmptyBoxReport(volume, AnchoredBox(upper, closed=False), cands, perf_counter() - t0)
 
 
 def solve_max_empty_box(ps: PointSet, workers: int = 1) -> EmptyBoxReport:
@@ -531,16 +485,8 @@ def solve_max_empty_box(ps: PointSet, workers: int = 1) -> EmptyBoxReport:
     if not ps.points:
         witness = Box((ZERO,) * ps.dim, (ONE,) * ps.dim, closed=False)
         return EmptyBoxReport(Fraction(1), witness, 1, perf_counter() - t0)
-    values, pts = _prep(ps, with_zero=True, with_one=True)
-    a_lists, b_lists = _face_indices(values, ps)
-    best, cands = _merge(
-        _run_scan(_scan_empty_box, (values, a_lists, b_lists, pts), workers)
-    )
-    volume, key = best
-    d = ps.dim
-    witness = Box(key[:d], key[d:], closed=False)
-    return EmptyBoxReport(volume, witness, cands, perf_counter() - t0)
-
+    volume, lower, upper, _, cands = _solve_boxes(ps, False, None, workers)
+    return EmptyBoxReport(volume, Box(lower, upper, closed=False), cands, perf_counter() - t0)
 
 def solve_bichromatic_box(
     ps: PointSet, anchored: bool = False, workers: int = 1

@@ -183,3 +183,29 @@ def test_bench_candidates_match_grid_product(tmp_path):
     for s in sizes:
         expected *= s
     assert rep.candidates_evaluated == expected
+
+
+def test_verify_empty_ranges_accept_no_instance_below_the_bound(tmp_path, capsys):
+    # Edgeless n=4 at k=3 has no 2-clique, so the optimum lies strictly
+    # below the stated C^k/mu.
+    edgeless = tmp_path / "empty4.txt"
+    edgeless.write_text("4 0\n")
+    for kind in ("empty-star", "empty-box"):
+        assert cli.main(["verify", "--type", kind, "--graph", str(edgeless), "-k", "3"]) == 0, kind
+        out = capsys.readouterr().out
+        assert out.startswith("match:") and "expected=(le, " in out, out
+
+
+def test_malformed_params_and_in_s_exit_two(k3_file, tmp_path, capsys):
+    good = tmp_path / "net.json"
+    cli.main(["gadget", "--type", "net-box", "--graph", k3_file, "-k", "2", "-o", str(good)])
+    bad_k = json.loads(good.read_text())
+    bad_k["params"]["k"] = "x"
+    bad_in_s = json.loads(good.read_text())
+    bad_in_s["points"][0]["in_S"] = "yes"
+    capsys.readouterr()
+    for content in (bad_k, bad_in_s):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        assert cli.main(["solve", str(path)]) == 2, content
+        assert capsys.readouterr().err.startswith("error: ")

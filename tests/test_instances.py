@@ -110,3 +110,20 @@ def test_parse_graph_errors():
         parse_graph("3\n1 2")
     with pytest.raises(ValueError, match="edge lines"):
         parse_graph("3 2\n1 2")
+
+
+def test_params_and_in_s_are_type_checked(k3):
+    doc = json.loads(dumps_instance(build_star_discrepancy_gadget(k3, 2)))
+    for name in ("k", "n", "N", "t"):
+        for bad in ("x", "2", True, 2.0, None if name != "t" else [2]):
+            broken = json.loads(json.dumps(doc))
+            broken["params"][name] = bad
+            with pytest.raises(ValueError, match=f"params.{name}"):
+                instance_from_doc(broken)
+    assert instance_from_doc(doc).params.t == doc["params"]["t"]
+    net = json.loads(dumps_instance(build_net_instance(k3, 2, "box")))
+    for bad in ("yes", 1, 0, None):
+        broken = json.loads(json.dumps(net))
+        broken["points"][0]["in_S"] = bad
+        with pytest.raises(ValueError, match="in_S"):
+            instance_from_doc(broken)

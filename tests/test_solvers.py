@@ -391,3 +391,146 @@ def test_worker_counts_do_not_change_output():
             reps = [fn(ps, workers=w) for w in (1, 2, 8)]
             assert len({getattr(r, attr) for r in reps}) == 1
             assert len({repr(r.witness) for r in reps}) == 1
+
+
+# ---------------------------------------------------------------------------
+# The integer box kernel: gadget equivalences, oracle agreement on boundary
+# and duplicate coordinates, closed-form candidate counts, bounded workers.
+
+
+def test_disc_gadgets_reach_expected_iff_clique_on_all_four_vertex_classes():
+    from conftest import GRAPHS_N3, GRAPHS_N4
+
+    from discrepancy import Graph, build_box_discrepancy_gadget, build_star_discrepancy_gadget
+    from discrepancy.oracles import has_clique
+
+    cases = [(4, edges, 2) for edges in GRAPHS_N4.values()]
+    cases += [(3, edges, 3) for edges in GRAPHS_N3.values()]
+    for n, edges, k in cases:
+        g = Graph.make(n, edges)
+        solves = [(build_box_discrepancy_gadget, solve_box_discrepancy)]
+        if k == 2:
+            solves.append((build_star_discrepancy_gadget, solve_star_discrepancy))
+        for build, solve in solves:
+            inst = build(g, k)
+            rep = solve(inst.points)
+            assert (rep.value == inst.expected_positive) == has_clique(g, k), (n, edges, k)
+            assert rep.value <= inst.expected_positive
+            _recheck_continuous(inst.points, rep)
+
+
+def _smallest_optimal(ps, problem):
+    """Optimum and lexicographically smallest optimal witness, by brute force
+    over the definitional grid with geometry's own counting."""
+    from itertools import product
+
+    anchored = problem in ("star-disc", "empty-star")
+    per_dim = []
+    for j in range(ps.dim):
+        coords = {p.coords[j] for p in ps.points}
+        highs = sorted(coords | {F(1)})
+        lows = [None] if anchored else sorted(coords | {F(0)})
+        per_dim.append([(a, b) for a in lows for b in highs if anchored or a <= b])
+    best = None
+    for sides in product(*per_dim):
+        lower = tuple(a for a, _ in sides)
+        upper = tuple(b for _, b in sides)
+        for closed in (True, False):
+            box = AnchoredBox(upper, closed) if anchored else Box(lower, upper, closed)
+            share = F(count_in_box(ps, box).total, ps.total_weight)
+            vol = box_volume(box)
+            if problem.startswith("empty"):
+                if closed or share:
+                    continue
+                val = vol
+            else:
+                val = share - vol if closed else vol - share
+            key = (() if anchored else lower) + upper + (not closed,)
+            if best is None or val > best[0] or (val == best[0] and key < best[1]):
+                best = (val, key, box)
+    return best[0], best[2]
+
+
+def test_box_kernel_matches_oracle_on_boundary_and_duplicate_coordinates():
+    rng = random.Random(43)
+    grid = [F(0), F(1), F(1, 2), F(1, 3), F(2, 3)]
+    solvers = {
+        "star-disc": solve_star_discrepancy,
+        "box-disc": solve_box_discrepancy,
+        "empty-star": solve_max_empty_star,
+        "empty-box": solve_max_empty_box,
+    }
+    # A point on the cube wall ties the closed point-box with the open full
+    # box at 1; the full box has the smaller key.
+    sets = [point_set(2, [((F(2, 3), F(1)), None, 1)])]
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        n = rng.randint(1, 5)
+        coords = [tuple(rng.choice(grid) for _ in range(d)) for _ in range(n)]
+        coords += rng.sample(coords, rng.randint(0, min(2, n)))  # duplicates
+        sets.append(PointSet(d, tuple(WeightedPoint(c, None, rng.randint(1, 3)) for c in coords)))
+    for ps in sets:
+        for problem, solve in solvers.items():
+            value, witness = _smallest_optimal(ps, problem)
+            assert value == naive_range_enumerate(ps, problem)
+            for workers in (1, 2):
+                rep = solve(ps, workers=workers)
+                got = rep.volume if problem.startswith("empty") else rep.value
+                assert (got, rep.witness) == (value, witness), (problem, ps, workers)
+
+
+def test_box_disc_candidates_are_the_pair_grid_product():
+    rng = random.Random(47)
+    for _ in range(10):
+        d = rng.randint(1, 3)
+        ps = _random_colored(rng, d, rng.randint(1, 6), denom=4)
+        expected = 1
+        for j in range(d):
+            coords = {p.coords[j] for p in ps.points}
+            lows = sorted(coords | {F(0)})
+            highs = sorted(coords | {F(1)})
+            expected *= sum(1 for a in lows for b in highs if a <= b)
+        for workers in (1, 2):
+            assert solve_box_discrepancy(ps, workers=workers).candidates_evaluated == expected
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        result = fn(*args)
+        return type("Done", (), {"result": lambda self: result})()
+
+
+def test_worker_pool_is_capped(monkeypatch):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    rng = random.Random(53)
+    ps = _random_colored(rng, 2, 6)
+    reference = solve_box_discrepancy(ps)
+    rep = solve_box_discrepancy(ps, workers=1000)
+    assert (rep.value, rep.witness, rep.side) == (reference.value, reference.witness, reference.side)
+    assert rep.candidates_evaluated == reference.candidates_evaluated
+    assert solve_bichromatic_box(ps, workers=1000).value == solve_bichromatic_box(ps).value
+    # one point: its star grid has two first-dimension intervals, 1/2 and 1
+    single = point_set(1, [((F(1, 2),), None, 1)])
+    assert solve_star_discrepancy(single, workers=1000).value == F(1, 2)
+    # three open intervals, (0, 1) and its halves; only the halves are empty
+    empty = solve_max_empty_box(single, workers=1000)
+    assert (empty.volume, empty.candidates_evaluated) == (F(1, 2), 2)
+    assert _InlinePool.sizes == [4, 4, 2, 3]
