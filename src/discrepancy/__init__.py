@@ -37,14 +37,7 @@ from .geometry import (
     halfspace_counts,
     point_set,
 )
-from .numerics import (
-    Rational,
-    compare,
-    format_rational,
-    make_rational,
-    parse_rational,
-    rational_pow,
-)
+from .numerics import format_rational, parse_rational, rational_pow
 from .solvers import (
     BichromaticReport,
     DiscrepancyReport,

@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 from time import perf_counter
 
@@ -21,48 +22,32 @@ from . import gadgets, instances, oracles, solvers
 from .geometry import BLUE, RED, AnchoredBox, Box, HalfSpace, PointSet, WeightedPoint
 from .numerics import format_rational, parse_rational
 
-_GADGET_TYPES = (
-    "bichromatic",
-    "redblue",
-    "empty-star",
-    "star-disc",
-    "empty-box",
-    "box-disc",
-    "halfspace",
-    "net-halfspace",
-    "net-box",
-)
+# Gadget type -> builder(graph, k, mu, raw).  Each lambda looks its
+# `gadgets.build_*` function up when called, so patched attributes are seen.
+_GADGETS = {
+    "bichromatic": lambda g, k, mu, raw: gadgets.build_bichromatic_gadget(g, k, normalize=not raw),
+    "redblue": lambda g, k, mu, raw: gadgets.build_redblue_gadget(g, k, normalize=not raw),
+    "empty-star": lambda g, k, mu, raw: gadgets.build_empty_star_gadget(
+        g, k, mu if mu is not None else Fraction(2)
+    ),
+    "star-disc": lambda g, k, mu, raw: gadgets.build_star_discrepancy_gadget(g, k),
+    "empty-box": lambda g, k, mu, raw: gadgets.build_empty_box_gadget(g, k),
+    "box-disc": lambda g, k, mu, raw: gadgets.build_box_discrepancy_gadget(g, k),
+    "halfspace": lambda g, k, mu, raw: gadgets.build_halfspace_gadget(g, k),
+    "net-halfspace": lambda g, k, mu, raw: gadgets.build_net_instance(g, k, "halfspace"),
+    "net-box": lambda g, k, mu, raw: gadgets.build_net_instance(g, k, "box"),
+}
 
-_BENCH_PROBLEMS = (
-    "star-disc",
-    "box-disc",
-    "empty-star",
-    "empty-box",
-    "bichromatic-box",
-    "redblue-disc",
-)
-
-
-def _build_gadget(kind: str, graph: gadgets.Graph, k: int, mu, raw: bool):
-    if kind == "bichromatic":
-        return gadgets.build_bichromatic_gadget(graph, k, normalize=not raw)
-    if kind == "redblue":
-        return gadgets.build_redblue_gadget(graph, k, normalize=not raw)
-    if kind == "empty-star":
-        return gadgets.build_empty_star_gadget(graph, k, mu if mu is not None else Fraction(2))
-    if kind == "star-disc":
-        return gadgets.build_star_discrepancy_gadget(graph, k)
-    if kind == "empty-box":
-        return gadgets.build_empty_box_gadget(graph, k)
-    if kind == "box-disc":
-        return gadgets.build_box_discrepancy_gadget(graph, k)
-    if kind == "halfspace":
-        return gadgets.build_halfspace_gadget(graph, k)
-    if kind == "net-halfspace":
-        return gadgets.build_net_instance(graph, k, "halfspace")
-    if kind == "net-box":
-        return gadgets.build_net_instance(graph, k, "box")
-    raise ValueError(f"unknown gadget type: {kind}")
+# Box problem -> (solvers function name, report field that verify compares,
+# report fields printed after the witness).  These are also the bench problems.
+_BOXES = {
+    "star-disc": ("solve_star_discrepancy", "value", ("side",)),
+    "box-disc": ("solve_box_discrepancy", "value", ("side",)),
+    "empty-star": ("solve_max_empty_star", "volume", ()),
+    "empty-box": ("solve_max_empty_box", "volume", ()),
+    "bichromatic-box": ("solve_bichromatic_box", "value", ("feasible",)),
+    "redblue-disc": ("solve_redblue_box_discrepancy", "value", ("side",)),
+}
 
 
 def _witness_doc(witness):
@@ -104,46 +89,42 @@ def _witness_text(witness) -> str:
     return f"half-space normal=({', '.join(doc['normal'])}) offset={doc['offset']}"
 
 
-def _solve_instance(inst: gadgets.GadgetInstance, workers: int, m=None):
-    """Dispatch an instance to its solver; returns (value_str, witness, extra)."""
-    problem = inst.problem
-    ps = inst.points
-    if problem == "bichromatic-box":
-        rep = solvers.solve_bichromatic_box(ps, workers=workers)
-        return str(rep.value), rep.witness, {"feasible": rep.feasible}
-    if problem == "redblue-disc":
-        rep = solvers.solve_redblue_box_discrepancy(ps, workers=workers)
-        return format_rational(rep.value), rep.witness, {"side": rep.side}
-    if problem == "empty-star":
-        rep = solvers.solve_max_empty_star(ps, workers=workers)
-        return format_rational(rep.volume), rep.witness, {}
-    if problem == "star-disc":
-        rep = solvers.solve_star_discrepancy(ps, workers=workers)
-        return format_rational(rep.value), rep.witness, {"side": rep.side}
-    if problem == "empty-box":
-        rep = solvers.solve_max_empty_box(ps, workers=workers)
-        return format_rational(rep.volume), rep.witness, {}
-    if problem == "box-disc":
-        rep = solvers.solve_box_discrepancy(ps, workers=workers)
-        return format_rational(rep.value), rep.witness, {"side": rep.side}
-    if problem == "halfspace-bichromatic":
-        threshold = m if m is not None else int(inst.expected_positive)
-        rep = solvers.solve_bichromatic_halfspace(ps, threshold, workers=workers)
-        return (
-            "feasible" if rep.feasible else "infeasible",
-            rep.witness,
-            {"m": threshold, "blue_weight": rep.value},
-        )
-    if problem in ("net-halfspace", "net-box"):
-        family = "halfspace" if problem == "net-halfspace" else "box"
-        mask = [p.in_s for p in ps.points]
-        rep = solvers.verify_epsilon_net(ps, mask, inst.params.eps, family, workers=workers)
-        return (
-            "is-net" if rep.is_net else "not-a-net",
-            rep.violator,
-            {"eps": format_rational(inst.params.eps)},
-        )
-    raise ValueError(f"unknown problem: {problem}")
+# A solve step maps (instance, workers, half-space threshold or None) to
+# (the value verify compares, the printed value, the witness, extra fields).
+
+
+def _box_step(problem: str):
+    solver, field, extra = _BOXES[problem]
+
+    def step(inst: gadgets.GadgetInstance, workers: int, m=None):
+        rep = getattr(solvers, solver)(inst.points, workers=workers)
+        got = getattr(rep, field)
+        return got, format_rational(got), rep.witness, {key: getattr(rep, key) for key in extra}
+
+    return step
+
+
+def _halfspace_step(inst: gadgets.GadgetInstance, workers: int, m=None):
+    threshold = m if m is not None else int(inst.expected_positive)
+    rep = solvers.solve_bichromatic_halfspace(inst.points, threshold, workers=workers)
+    value = "feasible" if rep.feasible else "infeasible"
+    return rep.feasible, value, rep.witness, {"m": threshold, "blue_weight": rep.value}
+
+
+def _net_step(family: str):
+    def step(inst: gadgets.GadgetInstance, workers: int, m=None):
+        mask = [p.in_s for p in inst.points.points]
+        rep = solvers.verify_epsilon_net(inst.points, mask, inst.params.eps, family, workers=workers)
+        value = "is-net" if rep.is_net else "not-a-net"
+        return rep.is_net, value, rep.violator, {"eps": format_rational(inst.params.eps)}
+
+    return step
+
+
+_SOLVE = {problem: _box_step(problem) for problem in _BOXES}
+_SOLVE["halfspace-bichromatic"] = _halfspace_step
+_SOLVE["net-halfspace"] = _net_step("halfspace")
+_SOLVE["net-box"] = _net_step("box")
 
 
 def _expected_outcome(inst: gadgets.GadgetInstance, clique: bool):
@@ -190,45 +171,23 @@ def _recompute_params(inst: gadgets.GadgetInstance) -> list[str]:
 
 
 def _verify(kind: str, graph: gadgets.Graph, k: int, workers: int, out) -> int:
-    inst = _build_gadget(kind, graph, k, None, raw=False)
+    inst = _GADGETS[kind](graph, k, None, False)
     clique = oracles.has_clique(graph, k)
     param_problems = _recompute_params(inst)
     if param_problems:
         for line in param_problems:
             print(f"param mismatch: {line}", file=out)
         return 1
-    ps = inst.points
-    problem = inst.problem
     kind_, payload = _expected_outcome(inst, clique)
-    if problem == "bichromatic-box":
-        got = solvers.solve_bichromatic_box(ps, workers=workers).value
-        ok = got == inst.expected_positive if clique else got <= inst.expected_positive - 1
-    elif problem == "redblue-disc":
-        got = solvers.solve_redblue_box_discrepancy(ps, workers=workers).value
-        ok = got == inst.expected_positive if clique else got < inst.expected_positive
-    elif problem in ("empty-star", "empty-box"):
-        solve = solvers.solve_max_empty_star if problem == "empty-star" else solvers.solve_max_empty_box
-        got = solve(ps, workers=workers).volume
-        if clique:
-            ok = got == inst.expected_positive
-        else:
-            ok = got <= inst.expected_negative and (
-                (got == inst.expected_negative) == oracles.has_clique(graph, k - 1)
-            )
-    elif problem == "star-disc":
-        got = solvers.solve_star_discrepancy(ps, workers=workers).value
-        ok = got == inst.expected_positive if clique else got < inst.expected_positive
-    elif problem == "box-disc":
-        got = solvers.solve_box_discrepancy(ps, workers=workers).value
-        ok = got == inst.expected_positive if clique else got < inst.expected_positive
-    elif problem == "halfspace-bichromatic":
-        got = solvers.solve_bichromatic_halfspace(ps, int(inst.expected_positive), workers=workers).feasible
-        ok = got == clique
+    got = _SOLVE[inst.problem](inst, workers)[0]
+    if kind_ == "lt":
+        ok = got < payload
+    elif kind_ == "le":
+        ok = got <= payload
+        if inst.problem in ("empty-star", "empty-box"):
+            ok = ok and (got == payload) == oracles.has_clique(graph, k - 1)
     else:
-        family = "halfspace" if problem == "net-halfspace" else "box"
-        mask = [p.in_s for p in ps.points]
-        got = solvers.verify_epsilon_net(ps, mask, inst.params.eps, family, workers=workers).is_net
-        ok = got == (not clique)
+        ok = got == payload
     status = "match" if ok else "MISMATCH"
     print(
         f"{status}: type={kind} k={k} clique={clique} expected=({kind_}, {payload}) got={got}",
@@ -257,35 +216,14 @@ def _projected_candidates(problem: str, ps: PointSet) -> int:
         if problem in ("star-disc", "empty-star"):
             per_dim.append(len(coords | {Fraction(1)}))
         elif problem in ("box-disc", "empty-box"):
-            lo = len(coords | {Fraction(0)})
-            hi = len(coords | {Fraction(1)})
-            per_dim.append(lo * hi)
+            # Lower faces on coordinates or 0, upper faces on coordinates or 1.
+            his = coords | {Fraction(1)}
+            per_dim.append(sum(a <= b for a in coords | {Fraction(0)} for b in his))
         else:
             blues = {p.coords[j] for p in ps.points if p.color == BLUE}
             b = len(blues)
             per_dim.append(b * (b + 1) // 2 if b else 1)
-    total = 1
-    for x in per_dim:
-        total *= x
-    return total
-
-
-def _bench_solve(problem: str, ps: PointSet):
-    if problem == "star-disc":
-        rep = solvers.solve_star_discrepancy(ps)
-    elif problem == "box-disc":
-        rep = solvers.solve_box_discrepancy(ps)
-    elif problem == "empty-star":
-        rep = solvers.solve_max_empty_star(ps)
-    elif problem == "empty-box":
-        rep = solvers.solve_max_empty_box(ps)
-    elif problem == "bichromatic-box":
-        rep = solvers.solve_bichromatic_box(ps)
-    elif problem == "redblue-disc":
-        rep = solvers.solve_redblue_box_discrepancy(ps)
-    else:
-        raise ValueError(f"unknown bench problem: {problem}")
-    return rep.candidates_evaluated
+    return prod(per_dim)
 
 
 BENCH_HEADER = ("problem", "d", "n_points", "candidates_evaluated", "elapsed_ms", "status")
@@ -305,9 +243,10 @@ def bench_scaling(problem: str, dims, sizes, seed: int = 0, cutoff: int = 2_000_
             if projected > cutoff:
                 rows.append((problem, d, n, projected, "", "skipped"))
                 continue
-            _bench_solve(problem, ps)  # warm-up
+            solve = getattr(solvers, _BOXES[problem][0])
+            solve(ps)  # warm-up
             t0 = perf_counter()
-            cands = _bench_solve(problem, ps)
+            cands = solve(ps).candidates_evaluated
             elapsed_ms = (perf_counter() - t0) * 1000.0
             rows.append((problem, d, n, cands, f"{elapsed_ms:.3f}", "ok"))
     return rows
@@ -335,7 +274,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gadget = sub.add_parser("gadget", help="compile a graph into an instance file")
-    p_gadget.add_argument("--type", required=True, choices=_GADGET_TYPES)
+    p_gadget.add_argument("--type", required=True, choices=tuple(_GADGETS))
     p_gadget.add_argument("--graph", required=True)
     p_gadget.add_argument("-k", type=int, required=True)
     p_gadget.add_argument("--mu", help="gap parameter p/q for empty-star (default 2)")
@@ -350,13 +289,13 @@ def _make_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="graph -> gadget -> solver -> clique oracle")
-    p_verify.add_argument("--type", required=True, choices=_GADGET_TYPES)
+    p_verify.add_argument("--type", required=True, choices=tuple(_GADGETS))
     p_verify.add_argument("--graph", required=True)
     p_verify.add_argument("-k", type=int, required=True)
     p_verify.add_argument("--threads", type=int, default=None)
 
     p_bench = sub.add_parser("bench", help="random-instance scaling rows to CSV")
-    p_bench.add_argument("--problem", required=True, choices=_BENCH_PROBLEMS)
+    p_bench.add_argument("--problem", required=True, choices=tuple(_BOXES))
     p_bench.add_argument("--dims", required=True, help="comma-separated dimensions")
     p_bench.add_argument("--sizes", required=True, help="comma-separated point counts")
     p_bench.add_argument("--seed", type=int, default=0)
@@ -366,15 +305,18 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _workers(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("DISCREPANCY_THREADS")
-    if env:
+    threads = getattr(args, "threads", None)
+    if threads is None:
+        env = os.environ.get("DISCREPANCY_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ValueError(f"DISCREPANCY_THREADS must be an integer, got {env!r}")
-    return 1
+    if threads < 1:
+        raise ValueError(f"worker count must be at least 1, got {threads}")
+    return threads
 
 
 def main(argv=None) -> int:
@@ -394,7 +336,7 @@ def _dispatch(args) -> int:
     if args.command == "gadget":
         graph = instances.read_graph(args.graph)
         mu = parse_rational(args.mu) if args.mu else None
-        inst = _build_gadget(args.type, graph, args.k, mu, args.raw)
+        inst = _GADGETS[args.type](graph, args.k, mu, args.raw)
         instances.write_instance(args.output, inst)
         print(f"wrote {args.output}: problem={inst.problem} dim={inst.points.dim} "
               f"points={len(inst.points)}")
@@ -403,12 +345,8 @@ def _dispatch(args) -> int:
     if args.command == "solve":
         inst = instances.read_instance(args.instance)
         if args.problem and args.problem != inst.problem:
-            print(
-                f"error: instance is {inst.problem!r}, not {args.problem!r}",
-                file=sys.stderr,
-            )
-            return 2
-        value, witness, extra = _solve_instance(inst, _workers(args), args.m)
+            raise ValueError(f"instance is {inst.problem!r}, not {args.problem!r}")
+        _, value, witness, extra = _SOLVE[inst.problem](inst, _workers(args), args.m)
         if args.json:
             doc = {"problem": inst.problem, "value": value, "witness": _witness_doc(witness)}
             doc.update(extra)

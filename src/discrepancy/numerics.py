@@ -17,16 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-
-
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Canonical rational num/den; the sign ends up on the numerator."""
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
 
 
 def rational_pow(base: Fraction, exp: int) -> Fraction:
@@ -36,25 +27,19 @@ def rational_pow(base: Fraction, exp: int) -> Fraction:
     return base ** exp
 
 
-def compare(a: Fraction, b: Fraction) -> int:
-    """-1, 0, or +1.  Exact; Fraction comparison cross-multiplies."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p".  Decimal and exponent notation are rejected."""
+    """Parse "p/q" or "p".  Decimal and exponent notation and a zero
+    denominator are rejected with ValueError."""
     if not isinstance(text, str):
         raise ValueError(f"not a rational literal: {text!r}")
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in s:
-        num, den = s.split("/")
-        return make_rational(int(num), int(den))
+        num, den = (int(part) for part in s.split("/"))
+        if den == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

@@ -73,6 +73,7 @@ from .geometry import (
     Box,
     HalfSpace,
     PointSet,
+    critical_grid,
 )
 from .separation import feasible_point
 
@@ -114,24 +115,16 @@ class NetReport:
 
 
 # ---------------------------------------------------------------------------
-# Preparation: per-dimension sorted values and integer ranks.
+# Preparation: integer ranks into the critical grid.
 
 
-def _prep(ps: PointSet, with_zero: bool, with_one: bool):
-    values = []
-    for j in range(ps.dim):
-        vals = {p.coords[j] for p in ps.points}
-        if with_zero:
-            vals.add(ZERO)
-        if with_one:
-            vals.add(ONE)
-        values.append(sorted(vals))
+def _rank_points(ps: PointSet, values):
+    """(ranks, weight, color) per point, ranks indexing the sorted `values`."""
     rank = [{v: i for i, v in enumerate(vs)} for vs in values]
-    pts = [
-        (tuple(rank[j][p.coords[j]] for j in range(ps.dim)), p.weight, p.color)
+    return [
+        (tuple(r[c] for r, c in zip(rank, p.coords)), p.weight, p.color)
         for p in ps.points
     ]
-    return values, pts
 
 
 def _require_nonempty(ps: PointSet) -> None:
@@ -307,7 +300,9 @@ def _scan_boxes(dims, pts, weight, scale, part, nparts):
 
 
 # ---------------------------------------------------------------------------
-# Majority-color box scan (bichromatic and red-blue discrepancy).
+# Majority-color box scan (bichromatic and red-blue discrepancy).  A scan
+# starts from `init_best`: None, or for the red-majority pass of red-blue
+# discrepancy the blue-majority optimum.
 
 
 def _scan_majority_box(values, pts, major, mode, anchored, init_best, part, nparts):
@@ -365,65 +360,6 @@ def _scan_majority_box(values, pts, major, mode, anchored, init_best, part, npar
     return best, cands
 
 
-def _seed_majority(values, pts, major, mode, anchored=False):
-    """Cheap incumbents: each degenerate majority box and the full majority
-    bounding box (lower corners pinned to 0 when anchored).  All lie inside
-    the candidate space, so seeding them only strengthens pruning without
-    affecting the reported optimum."""
-    d = len(values)
-    majors = [p for p in pts if p[2] == major]
-    if not majors:
-        return None, 0
-    if anchored:
-        zero_idx = [vals.index(ZERO) if ZERO in vals else None for vals in values]
-        if any(z is None for z in zero_idx):
-            return None, 0
-        boxes = [
-            tuple((z, r) for z, r in zip(zero_idx, p[0]))
-            for p in majors
-            if all(r >= z for z, r in zip(zero_idx, p[0]))
-        ]
-        if not boxes:
-            return None, 0
-        boxes.append(
-            tuple(
-                (zero_idx[j], max(p[0][j] for p in majors)) for j in range(d)
-            )
-        )
-    else:
-        boxes = [tuple((r, r) for r in p[0]) for p in majors]
-        boxes.append(
-            tuple(
-                (min(p[0][j] for p in majors), max(p[0][j] for p in majors))
-                for j in range(d)
-            )
-        )
-    best = None
-    for sides in boxes:
-        red_w = blue_w = major_w = 0
-        for ranks, w, color in pts:
-            if all(a <= r <= b for r, (a, b) in zip(ranks, sides)):
-                if color == RED:
-                    red_w += w
-                elif color == BLUE:
-                    blue_w += w
-                if color == major:
-                    major_w += w
-        if mode == "feasible":
-            minor = red_w if major == BLUE else blue_w
-            if minor != 0:
-                continue
-            val = major_w
-        else:
-            val = blue_w - red_w if major == BLUE else red_w - blue_w
-        lo = tuple(values[j][a] for j, (a, b) in enumerate(sides))
-        hi = tuple(values[j][b] for j, (a, b) in enumerate(sides))
-        key = lo + hi
-        if best is None or val > best[0] or (val == best[0] and key < best[1]):
-            best = (val, key, lo, hi)
-    return best, len(boxes)
-
-
 # ---------------------------------------------------------------------------
 # Public solvers.
 
@@ -433,9 +369,9 @@ def _solve_boxes(ps: PointSet, anchored: bool, weight, workers: int):
 
     `weight` None asks for the largest empty open box (side is None then).
     Anchored boxes report lower = None."""
-    values, pts = _prep(ps, with_zero=not anchored, with_one=True)
+    values = critical_grid(ps, with_zero=not anchored, with_one=True).values
     dims, scale = _intervals(values, ps, anchored, empty=weight is None)
-    pts = [ranks + (w,) for ranks, w, _ in pts]
+    pts = [ranks + (w,) for ranks, w, _ in _rank_points(ps, values)]
     workers = min(workers, len(dims[0]))
     (num, key), cands = _merge(_run_scan(_scan_boxes, (dims, pts, weight, scale), workers))
     d = ps.dim
@@ -488,6 +424,7 @@ def solve_max_empty_box(ps: PointSet, workers: int = 1) -> EmptyBoxReport:
     volume, lower, upper, _, cands = _solve_boxes(ps, False, None, workers)
     return EmptyBoxReport(volume, Box(lower, upper, closed=False), cands, perf_counter() - t0)
 
+
 def solve_bichromatic_box(
     ps: PointSet, anchored: bool = False, workers: int = 1
 ) -> BichromaticReport:
@@ -495,12 +432,11 @@ def solve_bichromatic_box(
     t0 = perf_counter()
     if ps.color_weight(BLUE) == 0:
         raise ValueError("no blue points")
-    values, pts = _prep(ps, with_zero=anchored, with_one=False)
-    seed, seed_cands = _seed_majority(values, pts, BLUE, "feasible", anchored=anchored)
+    values = critical_grid(ps, with_zero=anchored).values
+    pts = _rank_points(ps, values)
     best, cands = _merge(
-        _run_scan(_scan_majority_box, (values, pts, BLUE, "feasible", anchored, seed), workers)
+        _run_scan(_scan_majority_box, (values, pts, BLUE, "feasible", anchored, None), workers)
     )
-    cands += seed_cands
     if best is None:
         return BichromaticReport(0, None, True, cands, perf_counter() - t0)
     value, _, lo, hi = best
@@ -515,18 +451,13 @@ def solve_redblue_box_discrepancy(ps: PointSet, workers: int = 1) -> Discrepancy
     """
     t0 = perf_counter()
     _require_nonempty(ps)
-    values, pts = _prep(ps, with_zero=False, with_one=False)
-    cands = 0
-    sides = {}
-    seed_b, c = _seed_majority(values, pts, BLUE, "difference")
-    cands += c
-    blue_best, c = _merge(
-        _run_scan(_scan_majority_box, (values, pts, BLUE, "difference", False, seed_b), workers)
+    values = critical_grid(ps).values
+    pts = _rank_points(ps, values)
+    blue_best, cands = _merge(
+        _run_scan(_scan_majority_box, (values, pts, BLUE, "difference", False, None), workers)
     )
-    cands += c
-    seed_r = blue_best if blue_best is not None else _seed_majority(values, pts, RED, "difference")[0]
     red_best, c = _merge(
-        _run_scan(_scan_majority_box, (values, pts, RED, "difference", False, seed_r), workers)
+        _run_scan(_scan_majority_box, (values, pts, RED, "difference", False, blue_best), workers)
     )
     cands += c
     best, side = blue_best, "excess"

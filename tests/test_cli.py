@@ -99,7 +99,7 @@ def test_verify_positive_and_negative(k3_file, tmp_path, capsys):
 
 
 def test_verify_every_type_on_small_graphs(k3_file, edge_file, tmp_path):
-    for kind in cli._GADGET_TYPES:
+    for kind in cli._GADGETS:
         for graph in (k3_file, edge_file):
             assert cli.main(["verify", "--type", kind, "--graph", graph, "-k", "2"]) == 0, kind
 
@@ -169,8 +169,8 @@ def test_bench_rows_and_skip(tmp_path, capsys):
 def test_bench_candidates_match_grid_product(tmp_path):
     import random
 
-    from discrepancy import solve_star_discrepancy
-    from discrepancy.cli import _random_point_set
+    from discrepancy import solve_box_discrepancy, solve_star_discrepancy
+    from discrepancy.cli import _projected_candidates, _random_point_set
 
     rng = random.Random(5)
     ps = _random_point_set(rng, 2, 6, colored=False)
@@ -183,6 +183,12 @@ def test_bench_candidates_match_grid_product(tmp_path):
     for s in sizes:
         expected *= s
     assert rep.candidates_evaluated == expected
+    assert _projected_candidates("star-disc", ps) == expected
+    # Free boxes pair a lower face with an upper face at or above it.
+    for d in (2, 3):
+        ps = _random_point_set(random.Random(5), d, 6, colored=False)
+        rep = solve_box_discrepancy(ps)
+        assert _projected_candidates("box-disc", ps) == rep.candidates_evaluated
 
 
 def test_verify_empty_ranges_accept_no_instance_below_the_bound(tmp_path, capsys):
@@ -209,3 +215,42 @@ def test_malformed_params_and_in_s_exit_two(k3_file, tmp_path, capsys):
         path.write_text(json.dumps(content))
         assert cli.main(["solve", str(path)]) == 2, content
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_every_gadget_type_has_a_solve_step(k3_file, tmp_path, capsys):
+    from discrepancy import Graph, gadgets
+
+    graph = Graph.make(3, [(1, 2), (2, 3), (1, 3)])
+    for kind, build in cli._GADGETS.items():
+        assert build(graph, 2, None, False).problem in cli._SOLVE, kind
+    assert set(cli._SOLVE) == set(gadgets.PROBLEMS)
+    out = tmp_path / "mu0.json"
+    argv = ["gadget", "--type", "empty-star", "--graph", k3_file, "-k", "2", "--mu", "0", "-o", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_zero_denominators_exit_two(edge_file, tmp_path, capsys):
+    out = tmp_path / "es.json"
+    argv = ["gadget", "--type", "empty-star", "--graph", edge_file, "-k", "2", "-o", str(out)]
+    assert cli.main(argv + ["--mu", "1/0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cli.main(argv) == 0
+    doc = json.loads(out.read_text())
+    doc["points"][0]["coords"][0] = "1/0"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["solve", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_worker_counts_below_one_exit_two(k3_file, monkeypatch, capsys):
+    verify = ["verify", "--type", "star-disc", "--graph", k3_file, "-k", "2"]
+    for threads in ("0", "-3"):
+        assert cli.main(verify + ["--threads", threads]) == 2, threads
+        assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.setenv("DISCREPANCY_THREADS", "0")
+    assert cli.main(verify) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cli.main(verify + ["--threads", "1"]) == 0
