@@ -106,7 +106,7 @@ def _box_step(problem: str):
 
 def _halfspace_step(inst: gadgets.GadgetInstance, workers: int, m=None):
     threshold = m if m is not None else int(inst.expected_positive)
-    rep = solvers.solve_bichromatic_halfspace(inst.points, threshold, workers=workers)
+    rep = solvers.solve_bichromatic_halfspace(inst.points, threshold)
     value = "feasible" if rep.feasible else "infeasible"
     return rep.feasible, value, rep.witness, {"m": threshold, "blue_weight": rep.value}
 
@@ -210,19 +210,24 @@ def _random_point_set(rng: random.Random, d: int, n: int, colored: bool) -> Poin
 
 
 def _projected_candidates(problem: str, ps: PointSet) -> int:
+    if problem in ("bichromatic-box", "redblue-disc"):
+        # Closed boxes with both faces on majority coordinates: blue pairs,
+        # plus red pairs for the red-majority pass of red-blue discrepancy.
+        colors = (BLUE,) if problem == "bichromatic-box" else (BLUE, RED)
+        total = 0
+        for color in colors:
+            sizes = [len({p.coords[j] for p in ps.colored(color)}) for j in range(ps.dim)]
+            total += prod(s * (s + 1) // 2 for s in sizes)
+        return total
     per_dim = []
     for j in range(ps.dim):
         coords = {p.coords[j] for p in ps.points}
         if problem in ("star-disc", "empty-star"):
             per_dim.append(len(coords | {Fraction(1)}))
-        elif problem in ("box-disc", "empty-box"):
+        else:
             # Lower faces on coordinates or 0, upper faces on coordinates or 1.
             his = coords | {Fraction(1)}
             per_dim.append(sum(a <= b for a in coords | {Fraction(0)} for b in his))
-        else:
-            blues = {p.coords[j] for p in ps.points if p.color == BLUE}
-            b = len(blues)
-            per_dim.append(b * (b + 1) // 2 if b else 1)
     return prod(per_dim)
 
 
@@ -334,6 +339,10 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "gadget":
+        if args.mu is not None and args.type != "empty-star":
+            raise ValueError("--mu applies only to --type empty-star")
+        if args.raw and args.type not in ("bichromatic", "redblue"):
+            raise ValueError("--raw applies only to --type bichromatic and redblue")
         graph = instances.read_graph(args.graph)
         mu = parse_rational(args.mu) if args.mu else None
         inst = _GADGETS[args.type](graph, args.k, mu, args.raw)
@@ -346,6 +355,8 @@ def _dispatch(args) -> int:
         inst = instances.read_instance(args.instance)
         if args.problem and args.problem != inst.problem:
             raise ValueError(f"instance is {inst.problem!r}, not {args.problem!r}")
+        if args.m is not None and inst.problem != "halfspace-bichromatic":
+            raise ValueError(f"--m applies only to halfspace-bichromatic, not {inst.problem!r}")
         _, value, witness, extra = _SOLVE[inst.problem](inst, _workers(args), args.m)
         if args.json:
             doc = {"problem": inst.problem, "value": value, "witness": _witness_doc(witness)}

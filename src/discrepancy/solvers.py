@@ -34,23 +34,27 @@ up front.  The star, box, empty-star and empty-box problems share one
 scan over per-dimension rank intervals whose hot loop is integer-only:
 dimension j is scaled by the lcm D_j of its denominators, so volumes are
 integers over P = prod(D_j) and discrepancy values integers over W * P;
-`Fraction`s are built only for the report.  Pruning is used where a sound
-bound exists (residual volume for empty-range search; for the two-sided
-discrepancy objective, an excess bound from the closed count and the
-smallest remaining volume together with a deficit bound from the largest
-remaining volume; surviving majority weight for the combinatorial
-problems) and always with a strict inequality, so ties at the optimum are
-never discarded and the reported witness is independent of traversal
-order.  A discrepancy scan still reports the size of its definitional
-grid as `candidates_evaluated`, counted in closed form.
+`Fraction`s are built only for the report.  The bichromatic and red-blue
+problems share a second scan on the same rank conventions.  Pruning is
+used where a sound bound exists (residual volume for empty-range search;
+for the two-sided discrepancy objective, an excess bound from the closed
+count and the smallest remaining volume together with a deficit bound from
+the largest remaining volume; surviving majority weight for the
+combinatorial problems) and always with a strict inequality, so ties at
+the optimum are never discarded and the reported witness is independent
+of traversal order.  A discrepancy scan still reports the size of its
+definitional grid as `candidates_evaluated`, counted in closed form.
 
 Determinism: among all optimal candidates the solver reports the one with
 the lexicographically smallest witness key (corner tuple for anchored
 boxes, lower corner then upper corner for free boxes; excess before
 deficit on a full tie).  Parallel runs partition the first dimension's
 candidates, solve partitions independently, and merge with the same
-comparison, so the result is identical for any worker count.  The pool
-never exceeds the CPU count, nor, for the box scan, the number of
+comparison, so value, witness and side are identical for any worker
+count.  `candidates_evaluated` is too for star and box discrepancy, where
+it is the grid size in closed form; for the empty and majority scans it
+counts scored leaves, which depend on the partition.  The pool never
+exceeds the CPU count, nor, for the continuous box scan, the number of
 first-dimension intervals.
 """
 
@@ -119,12 +123,17 @@ class NetReport:
 
 
 def _rank_points(ps: PointSet, values):
-    """(ranks, weight, color) per point, ranks indexing the sorted `values`."""
+    """Each point's coordinates as ranks into the sorted `values`."""
     rank = [{v: i for i, v in enumerate(vs)} for vs in values]
-    return [
-        (tuple(r[c] for r, c in zip(rank, p.coords)), p.weight, p.color)
-        for p in ps.points
-    ]
+    return [tuple(r[c] for r, c in zip(rank, p.coords)) for p in ps.points]
+
+
+def _faces(values, key):
+    """(lower, upper) face coordinates of a rank key lo ranks + hi ranks."""
+    d = len(values)
+    lower = tuple(vs[i] for vs, i in zip(values, key[:d]))
+    upper = tuple(vs[i] for vs, i in zip(values, key[d : 2 * d]))
+    return lower, upper
 
 
 def _require_nonempty(ps: PointSet) -> None:
@@ -300,63 +309,54 @@ def _scan_boxes(dims, pts, weight, scale, part, nparts):
 
 
 # ---------------------------------------------------------------------------
-# Majority-color box scan (bichromatic and red-blue discrepancy).  A scan
-# starts from `init_best`: None, or for the red-majority pass of red-blue
-# discrepancy the blue-majority optimum.
+# Majority-color box scan (bichromatic and red-blue discrepancy) on the box
+# scan's conventions.  A point is the flat integer tuple ranks + (majority
+# weight, value): a majority point scores +w, a minority point -w, or more
+# than all majority weight together when the box must be minority-free, so
+# that a box holding one scores below 0.  Faces lie on majority ranks of the
+# points surviving the earlier dimensions, so pairs are made per node.
 
 
-def _scan_majority_box(values, pts, major, mode, anchored, init_best, part, nparts):
-    d = len(values)
-    best = init_best  # (value, lower+upper, lower, upper)
+def _scan_majority_box(pts, zero, init_best, part, nparts):
+    """Best closed box as (value, lo ranks + hi ranks), from `init_best`
+    (None, or the blue optimum seeding red-blue's red pass).  Anchored boxes
+    have lower faces at the `zero` ranks.  Each scored leaf is a candidate;
+    a subtree is skipped only when its majority weight is strictly lower."""
+    d = len(pts[0]) - 2
+    best = init_best
     cands = 0
-    lower: list = [None] * d
-    upper: list = [None] * d
-    zero_idx = [vals.index(ZERO) if ZERO in vals else None for vals in values]
+    lo: list = [None] * d
+    hi: list = [None] * d
 
-    def rec(j, cur_pts, major_w):
+    def rec(j, cur, major_w):
         nonlocal best, cands
         if best is not None and major_w < best[0]:
             return
         if j == d:
             cands += 1
-            red_w = blue_w = 0
-            for _, w, color in cur_pts:
-                if color == RED:
-                    red_w += w
-                elif color == BLUE:
-                    blue_w += w
-            if mode == "feasible":
-                minor = red_w if major == BLUE else blue_w
-                if minor != 0:
-                    return
-                val = major_w
-            else:
-                val = blue_w - red_w if major == BLUE else red_w - blue_w
-            key = tuple(lower) + tuple(upper)
-            if best is None or val > best[0] or (val == best[0] and key < best[1]):
-                best = (val, key, tuple(lower), tuple(upper))
+            val = sum([p[-1] for p in cur])
+            if best is None or val >= best[0]:
+                key = tuple(lo) + tuple(hi)
+                if best is None or val > best[0] or key < best[1]:
+                    best = (val, key)
             return
-        ranks = sorted({p[0][j] for p in cur_pts if p[2] == major})
-        if anchored:
-            z = zero_idx[j]
-            pairs = [(z, b) for b in ranks if b >= z] if z is not None else []
+        ranks = sorted({p[j] for p in cur if p[d]})
+        if zero is None:
+            pairs = [(a, b) for i, a in enumerate(ranks) for b in ranks[i:]]
         else:
-            pairs = [(a, b) for ai, a in enumerate(ranks) for b in ranks[ai:]]
+            pairs = [(zero[j], b) for b in ranks if b >= zero[j]]
         if j == 0:
             pairs = pairs[part::nparts]
-        vals = values[j]
         for a, b in pairs:
             ncur, nmw = [], 0
-            for p in cur_pts:
-                if a <= p[0][j] <= b:
+            for p in cur:
+                if a <= p[j] <= b:
                     ncur.append(p)
-                    if p[2] == major:
-                        nmw += p[1]
-            lower[j] = vals[a]
-            upper[j] = vals[b]
+                    nmw += p[d]
+            lo[j], hi[j] = a, b
             rec(j + 1, ncur, nmw)
 
-    rec(0, pts, sum(p[1] for p in pts if p[2] == major))
+    rec(0, pts, sum(p[d] for p in pts))
     return best, cands
 
 
@@ -368,15 +368,13 @@ def _solve_boxes(ps: PointSet, anchored: bool, weight, workers: int):
     """Run the box scan; returns (value, lower, upper, side, candidates).
 
     `weight` None asks for the largest empty open box (side is None then).
-    Anchored boxes report lower = None."""
+    Anchored callers read only upper."""
     values = critical_grid(ps, with_zero=not anchored, with_one=True).values
     dims, scale = _intervals(values, ps, anchored, empty=weight is None)
-    pts = [ranks + (w,) for ranks, w, _ in _rank_points(ps, values)]
+    pts = [ranks + (p.weight,) for ranks, p in zip(_rank_points(ps, values), ps.points)]
     workers = min(workers, len(dims[0]))
     (num, key), cands = _merge(_run_scan(_scan_boxes, (dims, pts, weight, scale), workers))
-    d = ps.dim
-    lower = None if anchored else tuple(values[j][i] for j, i in enumerate(key[:d]))
-    upper = tuple(values[j][i] for j, i in enumerate(key[d : 2 * d]))
+    lower, upper = _faces(values, key)
     if weight is None:
         return Fraction(num, scale), lower, upper, None, cands
     side = "deficit" if key[-1] else "excess"
@@ -425,22 +423,32 @@ def solve_max_empty_box(ps: PointSet, workers: int = 1) -> EmptyBoxReport:
     return EmptyBoxReport(volume, Box(lower, upper, closed=False), cands, perf_counter() - t0)
 
 
+def _solve_majority(ps, values, major, penalty, zero, init_best, workers):
+    """Run the majority scan: a `major` point scores +w, a point of the
+    other color -penalty * w and an uncolored point 0."""
+    score = {major: 1, RED if major == BLUE else BLUE: -penalty, None: 0}
+    pts = [
+        ranks + (p.weight if p.color == major else 0, score[p.color] * p.weight)
+        for ranks, p in zip(_rank_points(ps, values), ps.points)
+    ]
+    return _merge(_run_scan(_scan_majority_box, (pts, zero, init_best), workers))
+
+
 def solve_bichromatic_box(
     ps: PointSet, anchored: bool = False, workers: int = 1
 ) -> BichromaticReport:
     """Most blue weight in a closed box containing zero red weight."""
     t0 = perf_counter()
-    if ps.color_weight(BLUE) == 0:
+    if (blue := ps.color_weight(BLUE)) == 0:
         raise ValueError("no blue points")
     values = critical_grid(ps, with_zero=anchored).values
-    pts = _rank_points(ps, values)
-    best, cands = _merge(
-        _run_scan(_scan_majority_box, (values, pts, BLUE, "feasible", anchored, None), workers)
-    )
-    if best is None:
+    zero = [vs.index(ZERO) for vs in values] if anchored else None
+    # A red point outweighs all blues, so only red-free boxes score >= 0.
+    (value, key), cands = _solve_majority(ps, values, BLUE, blue + 1, zero, None, workers)
+    if value < 0:
         return BichromaticReport(0, None, True, cands, perf_counter() - t0)
-    value, _, lo, hi = best
-    return BichromaticReport(value, Box(lo, hi, closed=True), True, cands, perf_counter() - t0)
+    witness = Box(*_faces(values, key), closed=True)
+    return BichromaticReport(value, witness, True, cands, perf_counter() - t0)
 
 
 def solve_redblue_box_discrepancy(ps: PointSet, workers: int = 1) -> DiscrepancyReport:
@@ -452,30 +460,20 @@ def solve_redblue_box_discrepancy(ps: PointSet, workers: int = 1) -> Discrepancy
     t0 = perf_counter()
     _require_nonempty(ps)
     values = critical_grid(ps).values
-    pts = _rank_points(ps, values)
-    blue_best, cands = _merge(
-        _run_scan(_scan_majority_box, (values, pts, BLUE, "difference", False, None), workers)
-    )
-    red_best, c = _merge(
-        _run_scan(_scan_majority_box, (values, pts, RED, "difference", False, blue_best), workers)
-    )
+    blue_best, cands = _solve_majority(ps, values, BLUE, 1, None, None, workers)
+    best, c = _solve_majority(ps, values, RED, 1, None, blue_best, workers)
     cands += c
-    best, side = blue_best, "excess"
-    if red_best is not None and (
-        best is None or red_best[0] > best[0] or (red_best[0] == best[0] and red_best[1] < best[1])
-    ):
-        best, side = red_best, "deficit"
     if best is None:
         # No colored points at all: every box balances at zero.
         first = min(p.coords for p in ps.points)
         witness = Box(first, first, closed=True)
         return DiscrepancyReport(Fraction(0), witness, "excess", cands, perf_counter() - t0)
-    value, _, lo, hi = best
-    witness = Box(lo, hi, closed=True)
-    return DiscrepancyReport(Fraction(value), witness, side, cands, perf_counter() - t0)
+    side = "excess" if best == blue_best else "deficit"
+    witness = Box(*_faces(values, best[1]), closed=True)
+    return DiscrepancyReport(Fraction(best[0]), witness, side, cands, perf_counter() - t0)
 
 
-def solve_bichromatic_halfspace(ps: PointSet, m: int, workers: int = 1) -> BichromaticReport:
+def solve_bichromatic_halfspace(ps: PointSet, m: int) -> BichromaticReport:
     """Decide whether a closed half-space holds blue weight >= m and no red.
 
     Complete by subset enumeration: some set of at most m distinct blue
@@ -565,7 +563,7 @@ def verify_epsilon_net(
     if recolored.color_weight(BLUE) < m:
         return NetReport(True, None, 0, perf_counter() - t0)
     if family == "halfspace":
-        rep = solve_bichromatic_halfspace(recolored, m, workers=workers)
+        rep = solve_bichromatic_halfspace(recolored, m)
         violated = rep.feasible
     else:
         rep = solve_bichromatic_box(recolored, workers=workers)

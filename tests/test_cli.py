@@ -189,6 +189,19 @@ def test_bench_candidates_match_grid_product(tmp_path):
         ps = _random_point_set(random.Random(5), d, 6, colored=False)
         rep = solve_box_discrepancy(ps)
         assert _projected_candidates("box-disc", ps) == rep.candidates_evaluated
+    # The majority scans prune, so the projection bounds their count; red-blue
+    # scans red pairs as well as blue ones.
+    from discrepancy import solve_bichromatic_box, solve_redblue_box_discrepancy
+
+    for seed in range(3):
+        rng = random.Random(seed)
+        for d in (1, 2, 3):
+            for n in (3, 5, 8):
+                ps = _random_point_set(rng, d, n, colored=True)
+                for problem, solve in (("bichromatic-box", solve_bichromatic_box),
+                                       ("redblue-disc", solve_redblue_box_discrepancy)):
+                    cands = solve(ps).candidates_evaluated
+                    assert cands <= _projected_candidates(problem, ps), (problem, seed, d, n)
 
 
 def test_verify_empty_ranges_accept_no_instance_below_the_bound(tmp_path, capsys):
@@ -254,3 +267,25 @@ def test_worker_counts_below_one_exit_two(k3_file, monkeypatch, capsys):
     assert cli.main(verify) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert cli.main(verify + ["--threads", "1"]) == 0
+
+
+def test_flags_that_do_not_apply_exit_two(k3_file, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    gadget = ["gadget", "--graph", k3_file, "-k", "2", "-o", str(out)]
+    for extra in (["--type", "star-disc", "--mu", "5"], ["--type", "star-disc", "--raw"],
+                  ["--type", "bichromatic", "--mu", "3"], ["--type", "empty-star", "--raw"]):
+        assert cli.main(gadget + extra) == 2, extra
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+    assert cli.main(gadget + ["--type", "star-disc"]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", str(out), "--m", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # Where the flags apply they are still read.
+    assert cli.main(gadget + ["--type", "empty-star", "--mu", "3"]) == 0
+    assert read_instance(str(out)).params.mu == 3
+    assert cli.main(gadget + ["--type", "redblue", "--raw"]) == 0
+    assert cli.main(gadget + ["--type", "halfspace"]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", str(out), "--m", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 3

@@ -460,15 +460,23 @@ def test_box_kernel_matches_oracle_on_boundary_and_duplicate_coordinates():
         "empty-star": solve_max_empty_star,
         "empty-box": solve_max_empty_box,
     }
+    paint = random.Random(44)
     # A point on the cube wall ties the closed point-box with the open full
-    # box at 1; the full box has the smaller key.
-    sets = [point_set(2, [((F(2, 3), F(1)), None, 1)])]
+    # box at 1; the full box has the smaller key.  In the second set a red
+    # and a blue point coincide, so no red-free box holds that blue.
+    sets = [
+        point_set(2, [((F(2, 3), F(1)), None, 1)]),
+        point_set(2, [((F(1, 2), F(1, 3)), "red", 1), ((F(1, 2), F(1, 3)), "blue", 2),
+                      ((F(1), F(0)), "blue", 1), ((F(0), F(1)), None, 3)]),
+    ]
     for _ in range(40):
         d = rng.randint(1, 3)
         n = rng.randint(1, 5)
         coords = [tuple(rng.choice(grid) for _ in range(d)) for _ in range(n)]
         coords += rng.sample(coords, rng.randint(0, min(2, n)))  # duplicates
-        sets.append(PointSet(d, tuple(WeightedPoint(c, None, rng.randint(1, 3)) for c in coords)))
+        colors = [paint.choice(("red", "blue", None)) for _ in coords]
+        pts = tuple(WeightedPoint(c, color, rng.randint(1, 3)) for c, color in zip(coords, colors))
+        sets.append(PointSet(d, pts))
     for ps in sets:
         for problem, solve in solvers.items():
             value, witness = _smallest_optimal(ps, problem)
@@ -477,6 +485,75 @@ def test_box_kernel_matches_oracle_on_boundary_and_duplicate_coordinates():
                 rep = solve(ps, workers=workers)
                 got = rep.volume if problem.startswith("empty") else rep.value
                 assert (got, rep.witness) == (value, witness), (problem, ps, workers)
+        # The majority-color scan, including uncolored and coincident points.
+        majority = {"redblue-disc": solve_redblue_box_discrepancy}
+        if ps.color_weight("blue"):
+            majority["bichromatic-box"] = solve_bichromatic_box
+            majority["anchored"] = lambda ps, workers: solve_bichromatic_box(ps, True, workers)
+        for problem, solve in majority.items():
+            reps = [solve(ps, workers=workers) for workers in (1, 2)]
+            seen = {(rep.value, rep.witness, getattr(rep, "side", None)) for rep in reps}
+            assert len(seen) == 1, (problem, ps)
+            rep = reps[0]
+            if problem == "redblue-disc":
+                best, side = _majority_optimum(ps, "blue", False), "excess"
+                red = _majority_optimum(ps, "red", False)
+                if red and (not best or red[0] > best[0] or (red[0] == best[0] and red[1] < best[1])):
+                    best, side = red, "deficit"
+                if best:
+                    assert (rep.value, rep.witness, rep.side) == (best[0], best[2], side), ps
+            else:
+                best = _majority_optimum(ps, "blue", True, anchored=problem == "anchored")
+                assert (rep.value, rep.witness) == ((best[0], best[2]) if best else (0, None)), ps
+            if problem != "anchored":
+                assert rep.value == naive_range_enumerate(ps, problem), (problem, ps)
+            if rep.witness is None:
+                continue
+            tally = count_in_box(ps, rep.witness)
+            if problem == "redblue-disc":
+                diff = tally.blue - tally.red if rep.side == "excess" else tally.red - tally.blue
+                assert diff == rep.value, (ps, rep)
+            else:
+                assert (tally.red, tally.blue) == (0, rep.value), (problem, ps, rep)
+
+
+def _majority_optimum(ps, major, feasible, anchored=False):
+    """(value, key, box) of the best candidate of the majority scan, by brute
+    force: a closed box is a candidate when its faces in each dimension j lie
+    on coordinates of `major` points inside its first j sides (lower faces
+    at 0 when anchored).  A box scores major minus minor weight, or, when
+    `feasible`, its major weight if it holds no minor point.  Ties go to the
+    smallest lower + upper key; None when no box scores."""
+    from itertools import product
+
+    majors = [p.coords for p in ps.points if p.color == major]
+
+    def on_face(sides, j, c):
+        return any(
+            x[j] == c and all(a <= x[i] <= b for i, (a, b) in enumerate(sides[:j])) for x in majors
+        )
+
+    per_dim = []
+    for j in range(ps.dim):
+        cs = sorted({x[j] for x in majors})
+        per_dim.append([(a, b) for a in ([F(0)] if anchored else cs) for b in cs if a <= b])
+    best = None
+    for sides in product(*per_dim):
+        if not all(
+            (anchored or on_face(sides, j, a)) and on_face(sides, j, b)
+            for j, (a, b) in enumerate(sides)
+        ):
+            continue
+        box = Box(tuple(a for a, _ in sides), tuple(b for _, b in sides), closed=True)
+        tally = count_in_box(ps, box)
+        got, minor = (tally.blue, tally.red) if major == "blue" else (tally.red, tally.blue)
+        if feasible and minor:
+            continue
+        val = got if feasible else got - minor
+        key = box.lower + box.upper
+        if best is None or val > best[0] or (val == best[0] and key < best[1]):
+            best = (val, key, box)
+    return best
 
 
 def test_box_disc_candidates_are_the_pair_grid_product():
