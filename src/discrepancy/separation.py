@@ -21,96 +21,95 @@ reduced costs, kept in the cost row, are pi - 1.
 
 Pivoting uses Bland's rule (smallest-index entering column, smallest basis
 index on ratio ties), which terminates without cycling; artificials never
-re-enter.  All arithmetic is `Fraction`; there is no tolerance anywhere.
-The test suite's independent reference route is Fourier-Motzkin
+re-enter.  The pivot loop is integer-only and fraction-free (Bareiss 1968;
+Edmonds 1967).  Column i is first multiplied by the lcm of its row's
+denominators.  That substitutes y_i / L_i for y_i >= 0, which scales column
+i's reduced cost and all of its ratio-test ratios by positive factors, so
+the entering and leaving choices are Bland's on the rational system; the
+artificials are not scaled, so the multipliers pi are unchanged too.  The
+tableau, right-hand side and cost row are then kept as integers equal to
+det times their rational values, where det > 0 is the current basis
+determinant.  A pivot on entry p = T[r][c] leaves row r as it is, replaces
+every other entry by (p * T[i][j] - T[i][c] * T[r][j]) // det, a division
+that is exact because each entry is a minor of the bordered integer matrix,
+and sets det = p.  The ratio test cross-multiplies, and the witness is
+x_i = (cost[m + i] + det) / (cost[m + nvars] + det).  There is no tolerance
+anywhere.  The test suite's independent reference route is Fourier-Motzkin
 elimination in `oracles`, so the two decisions never share code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Constraint = tuple[Sequence[Fraction], Fraction]
 
 
 def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[list[Fraction]]:
     """A point satisfying coeffs . x <= rhs for every constraint, or None."""
-    rows = []
+    # Column i of the alternative is (A_i, -b_i), scaled to integers.
+    columns = []
     for coeffs, rhs in constraints:
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != nvars:
+        entries = [Fraction(c) for c in coeffs]
+        if len(entries) != nvars:
             raise ValueError("dimension mismatch")
-        if all(c == 0 for c in coeffs):
+        if not any(entries):
             if rhs < 0:
                 return None
             continue
-        rows.append((coeffs, Fraction(rhs)))
-    if not rows:
+        entries.append(-Fraction(rhs))
+        scale = lcm(*(e.denominator for e in entries))
+        columns.append([e.numerator * (scale // e.denominator) for e in entries])
+    if not columns:
         return [ZERO] * nvars
 
     # Columns 0..m-1 are the multipliers y of the constraints; columns
     # m..m+nvars are the artificials, one per row, starting as the basis.
-    m = len(rows)
+    m = len(columns)
     k = nvars + 1
-    tableau = [[coeffs[j] for coeffs, _ in rows] for j in range(nvars)]
-    tableau.append([-rhs for _, rhs in rows])
+    tableau = [[col[j] for col in columns] + [int(r == j) for r in range(k)] for j in range(k)]
     # Phase-1 objective: minimize the sum of artificials.  The cost row
     # holds minus the reduced costs: column sums, and 1 - 1 on artificials.
-    cost = [sum(col) for col in zip(*tableau)] + [ZERO] * k
-    for i, row in enumerate(tableau):
-        row.extend(ONE if r == i else ZERO for r in range(k))
-    rhs_col = [ZERO] * nvars + [ONE]
+    cost = [sum(col) for col in columns] + [0] * k
+    rhs_col = [0] * nvars + [1]
     basis = list(range(m, m + k))
+    det = 1
 
     while True:
         entering = next((j for j in range(m) if cost[j] > 0), None)
         if entering is None:
             break
         leaving = None
-        best_ratio = None
-        for i in range(k):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = rhs_col[i] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+        for i, row in enumerate(tableau):
+            coeff = row[entering]
+            # rhs_col[i] / coeff against the best ratio, cross-multiplied.
+            if coeff > 0 and (
+                leaving is None
+                or (diff := rhs_col[i] * best_coeff - best_rhs * coeff) < 0
+                or (diff == 0 and basis[i] < basis[leaving])
+            ):
+                leaving, best_rhs, best_coeff = i, rhs_col[i], coeff
         if leaving is None:
             # The objective is bounded below by 0, so an improving column
             # always admits a ratio; reaching here means a corrupt tableau.
             raise RuntimeError("phase-1 objective unbounded")
-        _pivot(tableau, rhs_col, cost, leaving, entering)
+        prow = tableau[leaving]
+        p = prow[entering]
+        for i, row in enumerate(tableau):
+            if i != leaving:
+                f = row[entering]
+                tableau[i] = [(p * a - f * b) // det for a, b in zip(row, prow)]
+                rhs_col[i] = (p * rhs_col[i] - f * best_rhs) // det
+        f = cost[entering]
+        cost = [(p * a - f * b) // det for a, b in zip(cost, prow)]
+        det = p
         basis[leaving] = entering
 
-    pi = [cost[m + i] + ONE for i in range(k)]
-    if pi[nvars] == 0:
+    denom = cost[m + nvars] + det
+    if denom == 0:
         return None
-    return [p / pi[nvars] for p in pi[:nvars]]
-
-
-def _pivot(tableau, rhs_col, cost, row: int, col: int) -> None:
-    pivot = tableau[row][col]
-    inv = ONE / pivot
-    tableau[row] = [c * inv for c in tableau[row]]
-    rhs_col[row] *= inv
-    for i in range(len(tableau)):
-        if i == row:
-            continue
-        factor = tableau[i][col]
-        if factor != 0:
-            prow = tableau[row]
-            tableau[i] = [a - factor * b for a, b in zip(tableau[i], prow)]
-            rhs_col[i] -= factor * rhs_col[row]
-    factor = cost[col]
-    if factor != 0:
-        prow = tableau[row]
-        for j in range(len(cost)):
-            cost[j] -= factor * prow[j]
+    return [Fraction(cost[m + i] + det, denom) for i in range(nvars)]

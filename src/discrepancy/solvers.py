@@ -26,6 +26,7 @@ a witness range.  The completeness arguments, recorded here once:
   Farkas alternative, i.e. it tests whether conv(subset) meets conv(reds)
   on d + 2 rows, and reads the separating (normal, offset) off the
   phase-1 multipliers.  No hyperplane-enumeration shortcut is trusted.
+  A search projecting more than MAX_HALFSPACE_SUBSETS subsets is refused.
 
 Candidate enumeration walks the per-dimension grids in odometer order,
 filtering the point list one dimension at a time so membership tests are
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import os
 from itertools import combinations
-from math import ceil, lcm, prod
+from math import ceil, comb, lcm, prod
 from time import perf_counter
 from typing import Sequence, Union
 
@@ -82,6 +83,10 @@ from .geometry import (
 from .separation import feasible_point
 
 Witness = Union[AnchoredBox, Box, HalfSpace, None]
+
+# Most blue subsets one half-space search may decide; the largest gadget
+# search (k = 3, m = 4, 13 distinct blues) projects 1,092.
+MAX_HALFSPACE_SUBSETS = 100_000
 
 
 @dataclass(frozen=True)
@@ -480,7 +485,9 @@ def solve_bichromatic_halfspace(ps: PointSet, m: int) -> BichromaticReport:
     points with total weight >= m must be separable, and each candidate set
     is decided by exact linear feasibility with a margin-1 system.  The
     returned witness is the feasible (normal, offset) pair; the reported
-    value is the total blue weight the witness actually contains.
+    value is the total blue weight the witness actually contains.  Raises
+    ValueError, before any LP, when the subsets of at most m distinct blues
+    number more than MAX_HALFSPACE_SUBSETS.
     """
     t0 = perf_counter()
     if m < 1:
@@ -503,6 +510,12 @@ def solve_bichromatic_halfspace(ps: PointSet, m: int) -> BichromaticReport:
         offset = max(b[0] for b in blues)
         return BichromaticReport(
             total_blue, HalfSpace(axis, offset), True, 1, perf_counter() - t0
+        )
+    projected = sum(comb(len(blues), s) for s in range(1, min(m, len(blues)) + 1))
+    if projected > MAX_HALFSPACE_SUBSETS:
+        raise ValueError(
+            f"half-space search would decide up to {projected} blue subsets, "
+            f"more than the limit of {MAX_HALFSPACE_SUBSETS}"
         )
     red_rows = [(tuple(-x for x in r) + (ONE,), Fraction(-1)) for r in red_list]
     cands = 0

@@ -312,6 +312,25 @@ def test_acceptance_08b_halfspace_and_net_equivalences():
     _finish("08b", "half-space threshold k and eps-net verdicts match clique", failures, t0, 300)
 
 
+def test_acceptance_08c_halfspace_and_net_at_k3():
+    t0 = perf_counter()
+    failures = []
+    for name, g in graphs_up_to(4):
+        if g.n != 4:
+            continue
+        clique = has_clique(g, 3)
+        feasible = solve_bichromatic_halfspace(build_halfspace_gadget(g, 3).points, 3).feasible
+        if feasible != clique:
+            failures.append(f"halfspace {name}: m=3 feasible={feasible}, clique={clique}")
+        if name in ("n4-triangle+iso", "n4-C4"):
+            net = build_net_instance(g, 3, "halfspace")
+            mask = [p.in_s for p in net.points.points]
+            rep = verify_epsilon_net(net.points, mask, net.params.eps, "halfspace")
+            if rep.is_net != (not clique):
+                failures.append(f"net {name} halfspace: is_net={rep.is_net}, clique={clique}")
+    _finish("08c", "k=3 half-space threshold and eps-net verdicts match clique", failures, t0, 60)
+
+
 def _random_instance(rng):
     d = rng.choice((1, 2, 3))
     cap = {1: 10, 2: 8, 3: 6}[d]

@@ -1,6 +1,7 @@
 import csv
 import json
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -289,3 +290,42 @@ def test_flags_that_do_not_apply_exit_two(k3_file, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["solve", str(out), "--m", "3", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["m"] == 3
+
+
+def test_halfspace_subset_projection_over_the_cap_exits_two(k3_file, tmp_path, capsys):
+    from math import ceil, comb
+
+    from conftest import graphs_up_to
+
+    from discrepancy import build_halfspace_gadget, solvers
+    from discrepancy.gadgets import build_net_instance
+
+    def projection(blues, m):
+        return sum(comb(len(blues), s) for s in range(1, min(m, len(blues)) + 1))
+
+    # Every half-space search of the tests and the benchmark (gadgets on
+    # up to four vertices, k = 2 and 3, m up to k + 1) stays under the cap.
+    cap = solvers.MAX_HALFSPACE_SUBSETS
+    assert cap >= 10**5
+    for _, g in graphs_up_to(4):
+        for k in (2, 3):
+            inst = build_halfspace_gadget(g, k)
+            blues = {p.coords for p in inst.points.points if p.color == "blue"}
+            assert projection(blues, k + 1) <= cap
+            net = build_net_instance(g, k, "halfspace")
+            blues = {p.coords for p in net.points.points if not p.in_s}
+            assert projection(blues, ceil(net.params.eps * net.points.total_weight)) <= cap
+
+    out = tmp_path / "hs.json"
+    assert cli.main(["gadget", "--type", "halfspace", "--graph", k3_file, "-k", "2", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    red = next(p for p in doc["points"] if p["color"] == "red")
+    blue = [{"color": "blue", "coords": [f"{i}/40", "0", "0", "0"], "weight": 1} for i in range(40)]
+    doc["points"] = blue + [red]
+    out.write_text(json.dumps(doc))
+    assert projection(blue, 5) > cap
+    capsys.readouterr()
+    t0 = perf_counter()
+    assert cli.main(["solve", str(out), "--m", "5"]) == 2
+    assert perf_counter() - t0 < 5
+    assert capsys.readouterr().err.startswith("error: ")

@@ -103,6 +103,49 @@ def test_agrees_with_fourier_motzkin_on_random_general_systems():
     assert verdicts == {True, False}
 
 
+_DENOMINATORS = (1, 3, 2**31 - 1, 2**61 - 1, 2**64)
+
+
+def _big_denominator_system(rng):
+    nvars = rng.randint(1, 3)
+    rows = []
+    for _ in range(rng.randint(2, nvars + 4)):
+        roll = rng.random()
+        if rows and roll < 0.3:
+            coeffs, rhs = rng.choice(rows)
+            if roll < 0.15:
+                # the same row at another positive scale
+                s = F(rng.randint(1, 2**64), rng.choice(_DENOMINATORS))
+                rows.append((tuple(s * c for c in coeffs), s * rhs))
+            else:
+                # its opposite, a sliver past or short of its bound
+                shift = F(rng.choice((-1, 1)), rng.choice(_DENOMINATORS[1:]))
+                rows.append((tuple(-c for c in coeffs), -rhs + shift))
+            continue
+        if roll < 0.5:
+            coeffs = tuple(F(rng.randint(-3, 3)) for _ in range(nvars))  # fractional rhs only
+        else:
+            coeffs = tuple(
+                F(rng.randint(-2**64, 2**64), rng.choice(_DENOMINATORS)) for _ in range(nvars)
+            )
+        rows.append((coeffs, F(rng.randint(-2**64, 2**64), rng.choice(_DENOMINATORS))))
+    return rows, nvars
+
+
+def test_agrees_with_fourier_motzkin_with_denominators_up_to_2_64():
+    rng = random.Random(64)
+    verdicts = []
+    for _ in range(200):
+        rows, nvars = _big_denominator_system(rng)
+        x = feasible_point(rows, nvars)
+        assert (x is not None) == _fm_feasible(rows, nvars), rows
+        if x is not None:
+            assert len(x) == nvars
+            _check(rows, nvars, x)
+        verdicts.append(x is not None)
+    assert 40 <= sum(verdicts) <= 160
+
+
 def _margin_rows(blues, reds):
     rows = [(b + (F(-1),), F(0)) for b in blues]
     return rows + [(tuple(-c for c in r) + (F(1),), F(-1)) for r in reds]

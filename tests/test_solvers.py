@@ -375,6 +375,24 @@ def test_halfspace_agrees_with_subset_oracle():
         assert solve_bichromatic_halfspace(ps, m).feasible == oracle
 
 
+
+def test_halfspace_witness_is_pinned_on_clique_gadgets():
+    # Bland's choices and the witness formula fix one exact witness, which
+    # agreement with Fourier-Motzkin on the verdict alone does not check.
+    from conftest import GRAPHS_N3, GRAPHS_N4
+
+    from discrepancy import Graph, build_halfspace_gadget
+
+    cases = [
+        (4, GRAPHS_N4["K4"], 13, (F(-3337, 50), F(-5851, 50), F(-1517, 50), F(-656, 5)), F(-6733, 50)),
+        (3, GRAPHS_N3["triangle"], 10, (F(-30255, 608), F(-18425, 304), F(-725, 32), F(-75)), F(-2507, 32)),
+    ]
+    for n, edges, cands, normal, offset in cases:
+        inst = build_halfspace_gadget(Graph.make(n, edges), 2)
+        rep = solve_bichromatic_halfspace(inst.points, 2)
+        assert (rep.feasible, rep.value, rep.candidates_evaluated) == (True, 2, cands), n
+        assert rep.witness == HalfSpace(normal, offset), n
+
 def test_worker_counts_do_not_change_output():
     rng = random.Random(41)
     for _ in range(6):
