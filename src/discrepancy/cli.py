@@ -179,7 +179,7 @@ def _verify(kind: str, graph: gadgets.Graph, k: int, workers: int, out) -> int:
             print(f"param mismatch: {line}", file=out)
         return 1
     kind_, payload = _expected_outcome(inst, clique)
-    got = _SOLVE[inst.problem](inst, workers)[0]
+    got, _, witness, _ = _SOLVE[inst.problem](inst, workers)
     if kind_ == "lt":
         ok = got < payload
     elif kind_ == "le":
@@ -193,6 +193,13 @@ def _verify(kind: str, graph: gadgets.Graph, k: int, workers: int, out) -> int:
         f"{status}: type={kind} k={k} clique={clique} expected=({kind_}, {payload}) got={got}",
         file=out,
     )
+    if not ok:
+        edges = ",".join(f"{u}-{v}" for u, v in sorted(graph.edges)) or "none"
+        print(
+            f"reproduce: n={graph.n} edges={edges} type={kind} k={k} workers={workers} "
+            f"witness={_witness_text(witness)}",
+            file=sys.stderr,
+        )
     return 0 if ok else 1
 
 

@@ -29,22 +29,25 @@ a witness range.  The completeness arguments, recorded here once:
   A search projecting more than MAX_HALFSPACE_SUBSETS subsets is refused.
 
 Candidate enumeration walks the per-dimension grids in odometer order,
-filtering the point list one dimension at a time so membership tests are
-incremental.  Coordinates are replaced by per-dimension ranks (integers)
-up front.  The star, box, empty-star and empty-box problems share one
-scan over per-dimension rank intervals whose hot loop is integer-only:
-dimension j is scaled by the lcm D_j of its denominators, so volumes are
-integers over P = prod(D_j) and discrepancy values integers over W * P;
-`Fraction`s are built only for the report.  The bichromatic and red-blue
-problems share a second scan on the same rank conventions.  Pruning is
-used where a sound bound exists (residual volume for empty-range search;
-for the two-sided discrepancy objective, an excess bound from the closed
-count and the smallest remaining volume together with a deficit bound from
-the largest remaining volume; surviving majority weight for the
-combinatorial problems) and always with a strict inequality, so ties at
-the optimum are never discarded and the reported witness is independent
-of traversal order.  A discrepancy scan still reports the size of its
-definitional grid as `candidates_evaluated`, counted in closed form.
+filtering the point list one dimension at a time down to the last one,
+which is swept (Dobkin, Eppstein & Mitchell 1996): running weight totals
+by rank of the surviving points, built once per node in O(n + R) for R
+ranks, score each last-dimension interval in O(1).  Coordinates are
+replaced by per-dimension ranks (integers) up front.  The star, box,
+empty-star and empty-box problems share one scan over per-dimension rank
+intervals whose hot loop is integer-only: dimension j is scaled by the
+lcm D_j of its denominators, so volumes are integers over P = prod(D_j)
+and discrepancy values integers over W * P; `Fraction`s are built only
+for the report.  The bichromatic and red-blue problems share a second
+scan on the same rank conventions.  Pruning is used where a sound bound
+exists (residual volume for empty-range search; for the two-sided
+discrepancy objective, an excess bound from the closed count and the
+smallest remaining volume together with a deficit bound from the largest
+remaining volume; surviving majority weight for the combinatorial
+problems) and always with a strict inequality, so ties at the optimum
+are never discarded and the reported witness is independent of traversal
+order.  A discrepancy scan still reports the size of its definitional
+grid as `candidates_evaluated`, counted in closed form.
 
 Determinism: among all optimal candidates the solver reports the one with
 the lexicographically smallest witness key (corner tuple for anchored
@@ -64,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import os
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import ceil, comb, lcm, prod
 from time import perf_counter
 from typing import Sequence, Union
@@ -220,6 +223,18 @@ def _intervals(values, ps: PointSet, anchored: bool, empty: bool):
     return dims, scale
 
 
+def _prefix(pts, j, col, size):
+    """Running totals of p[col] by rank in dimension j, ranks below `size`:
+    acc[r] sums the points of rank < r, and acc[-1] = 0.  So the closed rank
+    interval [a, b] holds acc[b + 1] - acc[a], also for the anchored a = -1,
+    and the open interval (a, b) holds acc[b] - acc[a + 1] when a < b.
+    Built in O(n + size), read in O(1) per interval."""
+    acc = [0] * (size + 1)
+    for p in pts:
+        acc[p[j] + 1] += p[col]
+    return list(accumulate(acc)) + [0]
+
+
 def _scan_boxes(dims, pts, weight, scale, part, nparts):
     """Best box over the product of `dims`, first dimension partitioned.
 
@@ -227,23 +242,29 @@ def _scan_boxes(dims, pts, weight, scale, part, nparts):
     the closed box when lo <= rank <= hi in every dimension and in the open
     box when lo < rank < hi.  Returns (best, candidates) with best =
     (numerator, key) and key = lo ranks + hi ranks (+ side rank 0 for
-    excess, 1 for deficit); ties go to the smallest key.
+    excess, 1 for deficit); ties go to the smallest key.  The point lists
+    are filtered down to the last dimension, which is swept with `_prefix`.
 
     Discrepancy mode (`weight` = W): values are integers over W * P,
     excess cw * P - W * vol and deficit W * vol - ow * P.  A subtree at
     depth j is skipped only when both its excess bound
     cw * P - W * vol * prod(minlen[j:]) and its deficit bound
-    W * vol * prod(maxlen[j:]) are strictly below the incumbent.  The
-    candidate count is this partition's share of the definitional grid.
+    W * vol * prod(maxlen[j:]) are strictly below the incumbent.  At the
+    last dimension every interval is scored exactly, its closed total
+    giving the excess and its open total the deficit.  The candidate count
+    is this partition's share of the definitional grid.
 
     Empty mode (`weight` None): values are volumes over P, open boxes
     only.  Intervals come longest first, so a residual volume below the
     incumbent ends the loop; once no point can lie strictly inside, the
     only completion scored is the longest one, or the smallest key when
-    the volume is already 0.  Each scored completion is one candidate.
+    the volume is already 0.  At the last dimension an interval is scored
+    when its open total is 0: weights are at least 1, so no point lies
+    strictly inside.  Each scored completion is one candidate.
     """
     d = len(dims)
     first = dims[0][part::nparts]
+    size = 1 + max(iv[1] for iv in dims[-1])
     mintail, maxtail = [1] * (d + 1), [1] * (d + 1)
     for j in range(d - 1, -1, -1):
         mintail[j] = mintail[j + 1] * min(iv[2] for iv in dims[j])
@@ -268,8 +289,16 @@ def _scan_boxes(dims, pts, weight, scale, part, nparts):
             if best is None or vol > best[0] or (vol == best[0] and key < best[1]):
                 best = (vol, key)
             return
-        if j == d:
-            return  # some point lies strictly inside
+        if j == d - 1:
+            inside = _prefix(opened, j, -1, size)
+            for a, b, length in first if j == 0 else dims[j]:
+                nvol = vol * length
+                if best is not None and nvol < best[0]:
+                    break
+                if inside[b] == inside[a + 1]:
+                    lo[j], hi[j] = a, b
+                    empty(d, nvol, ())
+            return
         for a, b, length in first if j == 0 else dims[j]:
             nvol = vol * length
             if best is not None and nvol * maxtail[j + 1] < best[0]:
@@ -277,17 +306,24 @@ def _scan_boxes(dims, pts, weight, scale, part, nparts):
             lo[j], hi[j] = a, b
             empty(j + 1, nvol, [p for p in opened if a < p[j] < b])
 
-    def disc(j, vol, closed, cw, opened, ow):
+    def disc(j, vol, closed, opened):
         nonlocal best
-        if j == d:
-            val, side = cw * scale - weight * vol, 0
-            deficit = weight * vol - ow * scale
-            if deficit > val:
-                val, side = deficit, 1
-            if best is None or val >= best[0]:
-                key = tuple(lo) + tuple(hi) + (side,)
-                if best is None or val > best[0] or key < best[1]:
-                    best = (val, key)
+        if j == d - 1:
+            cacc, oacc = _prefix(closed, j, -1, size), _prefix(opened, j, -1, size)
+            wvol = weight * vol
+            for a, b, length in first if j == 0 else dims[j]:
+                nvol = wvol * length
+                val, side = (cacc[b + 1] - cacc[a]) * scale - nvol, 0
+                # At a == b this "deficit" is the open weight at rank a
+                # times P, at most the excess, so the excess side stands.
+                deficit = nvol - (oacc[b] - oacc[a + 1]) * scale
+                if deficit > val:
+                    val, side = deficit, 1
+                if best is None or val >= best[0]:
+                    lo[j], hi[j] = a, b
+                    key = tuple(lo) + tuple(hi) + (side,)
+                    if best is None or val > best[0] or key < best[1]:
+                        best = (val, key)
             return
         for a, b, length in first if j == 0 else dims[j]:
             nvol = vol * length
@@ -299,17 +335,15 @@ def _scan_boxes(dims, pts, weight, scale, part, nparts):
                 and ncw * scale - weight * nvol * mintail[j + 1] < best[0]
             ):
                 continue
-            no = [p for p in opened if a < p[j] < b]
             lo[j], hi[j] = a, b
-            disc(j + 1, nvol, nc, ncw, no, sum([p[-1] for p in no]))
+            disc(j + 1, nvol, nc, [p for p in opened if a < p[j] < b])
 
     if weight is None:
         cands = 0
         empty(0, 1, pts)
     else:
         cands = len(first) * prod(len(ivs) for ivs in dims[1:])
-        total = sum(p[-1] for p in pts)
-        disc(0, 1, pts, total, pts, total)
+        disc(0, 1, pts, pts)
     return best, cands
 
 
@@ -325,26 +359,19 @@ def _scan_boxes(dims, pts, weight, scale, part, nparts):
 def _scan_majority_box(pts, zero, init_best, part, nparts):
     """Best closed box as (value, lo ranks + hi ranks), from `init_best`
     (None, or the blue optimum seeding red-blue's red pass).  Anchored boxes
-    have lower faces at the `zero` ranks.  Each scored leaf is a candidate;
-    a subtree is skipped only when its majority weight is strictly lower."""
+    have lower faces at the `zero` ranks.  Each scored leaf is a candidate.
+    Running totals by rank give every pair's majority weight before the
+    point list is filtered, and a pair strictly below the incumbent is
+    skipped; at the last dimension the value totals score each pair."""
     d = len(pts[0]) - 2
+    size = 1 + max(max(p[:d]) for p in pts)
     best = init_best
     cands = 0
     lo: list = [None] * d
     hi: list = [None] * d
 
-    def rec(j, cur, major_w):
+    def rec(j, cur):
         nonlocal best, cands
-        if best is not None and major_w < best[0]:
-            return
-        if j == d:
-            cands += 1
-            val = sum([p[-1] for p in cur])
-            if best is None or val >= best[0]:
-                key = tuple(lo) + tuple(hi)
-                if best is None or val > best[0] or key < best[1]:
-                    best = (val, key)
-            return
         ranks = sorted({p[j] for p in cur if p[d]})
         if zero is None:
             pairs = [(a, b) for i, a in enumerate(ranks) for b in ranks[i:]]
@@ -352,16 +379,23 @@ def _scan_majority_box(pts, zero, init_best, part, nparts):
             pairs = [(zero[j], b) for b in ranks if b >= zero[j]]
         if j == 0:
             pairs = pairs[part::nparts]
+        major = _prefix(cur, j, d, size)
+        value = _prefix(cur, j, -1, size) if j == d - 1 else None
         for a, b in pairs:
-            ncur, nmw = [], 0
-            for p in cur:
-                if a <= p[j] <= b:
-                    ncur.append(p)
-                    nmw += p[d]
+            if best is not None and major[b + 1] - major[a] < best[0]:
+                continue
             lo[j], hi[j] = a, b
-            rec(j + 1, ncur, nmw)
+            if value is None:
+                rec(j + 1, [p for p in cur if a <= p[j] <= b])
+                continue
+            cands += 1
+            val = value[b + 1] - value[a]
+            if best is None or val >= best[0]:
+                key = tuple(lo) + tuple(hi)
+                if best is None or val > best[0] or key < best[1]:
+                    best = (val, key)
 
-    rec(0, pts, sum(p[d] for p in pts))
+    rec(0, pts)
     return best, cands
 
 

@@ -115,9 +115,16 @@ def test_verify_mismatch_exits_one(k3_file, monkeypatch, capsys):
         return type(rep)(rep.value + 1, rep.witness, rep.feasible, rep.candidates_evaluated, rep.elapsed)
 
     monkeypatch.setattr(solvers, "solve_bichromatic_box", wrong)
-    rc = cli.main(["verify", "--type", "bichromatic", "--graph", k3_file, "-k", "2"])
+    rc = cli.main(["verify", "--type", "bichromatic", "--graph", k3_file, "-k", "2", "--threads", "1"])
     assert rc == 1
-    assert "MISMATCH" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    # stdout keeps the single parsed verdict line; the reproduce line goes to stderr
+    [line] = captured.out.splitlines()
+    assert line.startswith("MISMATCH: type=bichromatic k=2 clique=True ")
+    [repro] = captured.err.splitlines()
+    assert repro.startswith(
+        "reproduce: n=3 edges=1-2,1-3,2-3 type=bichromatic k=2 workers=1 witness=closed box lower=("
+    )
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -574,6 +574,40 @@ def _majority_optimum(ps, major, feasible, anchored=False):
     return best
 
 
+def test_scored_leaf_counts_are_pinned_on_all_four_vertex_classes():
+    """Summed `candidates_evaluated` at one worker: the empty and majority
+    scans count scored leaves, so a scan that scores one leaf more or less
+    than the filtering odometer changes these sums."""
+    from conftest import GRAPHS_N4
+
+    from discrepancy import (
+        Graph,
+        build_bichromatic_gadget,
+        build_empty_box_gadget,
+        build_empty_star_gadget,
+        build_redblue_gadget,
+        build_star_discrepancy_gadget,
+    )
+
+    def empty_star(g, k):
+        return build_empty_star_gadget(g, k, F(2))  # the CLI's default mu
+
+    expected = {
+        solve_max_empty_star: (empty_star, 360, 6_391),
+        solve_max_empty_box: (build_empty_box_gadget, 184, 1_023),
+        solve_bichromatic_box: (build_bichromatic_gadget, 4_092, 53_769),
+        solve_redblue_box_discrepancy: (build_redblue_gadget, 1_932, 31_474),
+        solve_star_discrepancy: (build_star_discrepancy_gadget, 14_256, 513_216),
+    }
+    for solve, (build, *sums) in expected.items():
+        for k, want in zip((2, 3), sums):
+            got = sum(
+                solve(build(Graph.make(4, edges), k).points, workers=1).candidates_evaluated
+                for edges in GRAPHS_N4.values()
+            )
+            assert got == want, (solve.__name__, k)
+
+
 def test_box_disc_candidates_are_the_pair_grid_product():
     rng = random.Random(47)
     for _ in range(10):
