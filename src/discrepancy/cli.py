@@ -14,7 +14,6 @@ import os
 import random
 import sys
 from fractions import Fraction
-from math import prod
 from pathlib import Path
 from time import perf_counter
 
@@ -217,25 +216,8 @@ def _random_point_set(rng: random.Random, d: int, n: int, colored: bool) -> Poin
 
 
 def _projected_candidates(problem: str, ps: PointSet) -> int:
-    if problem in ("bichromatic-box", "redblue-disc"):
-        # Closed boxes with both faces on majority coordinates: blue pairs,
-        # plus red pairs for the red-majority pass of red-blue discrepancy.
-        colors = (BLUE,) if problem == "bichromatic-box" else (BLUE, RED)
-        total = 0
-        for color in colors:
-            sizes = [len({p.coords[j] for p in ps.colored(color)}) for j in range(ps.dim)]
-            total += prod(s * (s + 1) // 2 for s in sizes)
-        return total
-    per_dim = []
-    for j in range(ps.dim):
-        coords = {p.coords[j] for p in ps.points}
-        if problem in ("star-disc", "empty-star"):
-            per_dim.append(len(coords | {Fraction(1)}))
-        else:
-            # Lower faces on coordinates or 0, upper faces on coordinates or 1.
-            his = coords | {Fraction(1)}
-            per_dim.append(sum(a <= b for a in coords | {Fraction(0)} for b in his))
-    return prod(per_dim)
+    colors = {"bichromatic-box": (BLUE,), "redblue-disc": (BLUE, RED)}.get(problem, ())
+    return solvers.grid_cells(ps, problem in ("star-disc", "empty-star"), colors)
 
 
 BENCH_HEADER = ("problem", "d", "n_points", "candidates_evaluated", "elapsed_ms", "status")

@@ -57,9 +57,10 @@ candidates, solve partitions independently, and merge with the same
 comparison, so value, witness and side are identical for any worker
 count.  `candidates_evaluated` is too for star and box discrepancy, where
 it is the grid size in closed form; for the empty and majority scans it
-counts scored leaves, which depend on the partition.  The pool never
-exceeds the CPU count, nor, for the continuous box scan, the number of
-first-dimension intervals.
+counts scored leaves, which depend on the partition.  Partitions never
+outnumber the CPUs, nor, for the continuous box scan, the first-dimension
+intervals.  They run in a forked pool only above a measured crossover in
+`grid_cells`, and in-process below it, with the same report either way.
 """
 
 from __future__ import annotations
@@ -90,6 +91,10 @@ Witness = Union[AnchoredBox, Box, HalfSpace, None]
 # Most blue subsets one half-space search may decide; the largest gadget
 # search (k = 3, m = 4, 13 distinct blues) projects 1,092.
 MAX_HALFSPACE_SUBSETS = 100_000
+
+# Per scan mode, the `grid_cells` above which partitions run faster in a
+# forked pool than in-process; measured on a 2-vCPU VM (ROADMAP item 3).
+_FORK_CELLS = {"disc": 2_000_000, "empty": 30_000_000, "majority": 150_000_000}
 
 
 @dataclass(frozen=True)
@@ -166,20 +171,41 @@ def _merge(results):
     return best, cands
 
 
-def _run_scan(scan, args, workers: int):
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        return [scan(*args, 0, 1)]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
+def grid_cells(ps: PointSet, anchored: bool, colors=()) -> int:
+    """Closed-form size of a scan's definitional grid, a product over the
+    dimensions: of the upper-face choices for an anchored box, else of the
+    lower-upper pairs less the c(c-1)/2 pairs of its c coordinates in the
+    wrong order.  The box scan's faces are the coordinates plus 0 (lower) and
+    1 (upper); with `colors`, the majority scan's are that color's
+    coordinates, and the sizes are summed over the colors."""
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(scan, *args, p, workers) for p in range(workers)]
-            return [f.result() for f in futures]
-    except OSError:
-        # No subprocess support in this environment; the partitioned
-        # computation is identical either way.
-        return [scan(*args, p, workers) for p in range(workers)]
+    def choices(coords):
+        c = len(coords)
+        lows = c + (not colors and ZERO not in coords)
+        highs = c + (not colors and ONE not in coords)
+        return highs if anchored else lows * highs - c * (c - 1) // 2
+
+    groups = [ps.colored(color) for color in colors] or [ps.points]
+    return sum(prod(choices({p.coords[j] for p in g}) for j in range(ps.dim)) for g in groups)
+
+
+def _run_scan(scan, args, workers: int, mode: str, *grid):
+    """`scan` over `workers` partitions of its first dimension, at most the
+    CPU count: in a forked pool above the crossover of `grid_cells(*grid)`
+    for `mode`, else, or where no pool can be forked, in this process."""
+    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1 and grid_cells(*grid) > _FORK_CELLS[mode]:
+        try:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                futures = [pool.submit(scan, *args, p, workers) for p in range(workers)]
+                return [f.result() for f in futures]
+        except (OSError, ValueError):
+            pass
+    return [scan(*args, p, workers) for p in range(workers)]
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +438,9 @@ def _solve_boxes(ps: PointSet, anchored: bool, weight, workers: int):
     dims, scale = _intervals(values, ps, anchored, empty=weight is None)
     pts = [ranks + (p.weight,) for ranks, p in zip(_rank_points(ps, values), ps.points)]
     workers = min(workers, len(dims[0]))
-    (num, key), cands = _merge(_run_scan(_scan_boxes, (dims, pts, weight, scale), workers))
+    mode = "empty" if weight is None else "disc"
+    runs = _run_scan(_scan_boxes, (dims, pts, weight, scale), workers, mode, ps, anchored)
+    (num, key), cands = _merge(runs)
     lower, upper = _faces(values, key)
     if weight is None:
         return Fraction(num, scale), lower, upper, None, cands
@@ -470,7 +498,8 @@ def _solve_majority(ps, values, major, penalty, zero, init_best, workers):
         ranks + (p.weight if p.color == major else 0, score[p.color] * p.weight)
         for ranks, p in zip(_rank_points(ps, values), ps.points)
     ]
-    return _merge(_run_scan(_scan_majority_box, (pts, zero, init_best), workers))
+    grid = (ps, zero is not None, (major,))
+    return _merge(_run_scan(_scan_majority_box, (pts, zero, init_best), workers, "majority", *grid))
 
 
 def solve_bichromatic_box(

@@ -628,7 +628,7 @@ class _InlinePool:
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -646,6 +646,10 @@ def test_worker_pool_is_capped(monkeypatch):
     import concurrent.futures
     import os
 
+    from discrepancy import solvers
+
+    # Every grid is above a crossover of 0, so every parallel solve forks.
+    monkeypatch.setattr(solvers, "_FORK_CELLS", dict.fromkeys(solvers._FORK_CELLS, 0))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(_InlinePool, "sizes", [])
@@ -663,3 +667,59 @@ def test_worker_pool_is_capped(monkeypatch):
     empty = solve_max_empty_box(single, workers=1000)
     assert (empty.volume, empty.candidates_evaluated) == (F(1, 2), 2)
     assert _InlinePool.sizes == [4, 4, 2, 3]
+
+
+def test_partitions_run_in_process_below_the_crossover(monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+    import os
+
+    from discrepancy import solvers
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started below the crossover")
+
+    rng = random.Random(59)
+    sets = [_random_colored(rng, 2, 6), _random_colored(rng, 3, 4)]
+    solves = (
+        solve_star_discrepancy,
+        solve_box_discrepancy,
+        solve_max_empty_star,
+        solve_max_empty_box,
+        solve_bichromatic_box,
+        solve_redblue_box_discrepancy,
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def reports():
+        reps = [fn(ps, workers=w) for ps in sets for fn in solves for w in (2, 8)]
+        return [{k: v for k, v in vars(r).items() if k != "elapsed"} for r in reps]
+
+    with monkeypatch.context() as m:
+        m.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        in_process = reports()
+    monkeypatch.setattr(solvers, "_FORK_CELLS", dict.fromkeys(solvers._FORK_CELLS, 0))
+    assert reports() == in_process
+    assert multiprocessing.active_children() == []
+
+
+def test_grid_cells_counts_face_choices():
+    from discrepancy.solvers import grid_cells
+
+    rng = random.Random(61)
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        ps = _random_colored(rng, d, rng.randint(1, 6), denom=3)
+        free = anchored = 1
+        blue_pairs = blue_uppers = 1
+        for j in range(d):
+            coords = {p.coords[j] for p in ps.points}
+            anchored *= len(coords | {F(1)})
+            free *= sum(a <= b for a in coords | {F(0)} for b in coords | {F(1)})
+            blues = {p.coords[j] for p in ps.colored("blue")}
+            blue_pairs *= sum(a <= b for a in blues for b in blues)
+            blue_uppers *= len(blues)
+        assert grid_cells(ps, True) == anchored
+        assert grid_cells(ps, False) == free
+        assert grid_cells(ps, False, ("blue",)) == blue_pairs
+        assert grid_cells(ps, True, ("blue",)) == blue_uppers
