@@ -298,6 +298,10 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: `_GADGETS` and `_BOXES` never change at run time.
+_PARSER = _make_parser()
+
+
 def _workers(args) -> int:
     threads = getattr(args, "threads", None)
     if threads is None:
@@ -314,9 +318,8 @@ def _workers(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -4,20 +4,35 @@ Each solver enumerates a finite candidate space that provably contains an
 optimum, in exact rational arithmetic, and returns the optimum value with
 a witness range.  The completeness arguments, recorded here once:
 
-* Anchored (star) problems: grow each face of a box until it hits a point
-  coordinate or the cube wall at 1, so the per-dimension critical grid
-  (point coordinates plus the 1 sentinel) is a complete corner set.  The
-  supremum of |vol - count/W| is attained only in closed/open limits, so
-  every corner is scored twice: closed excess (count/W - vol) and open
-  deficit (vol - count/W).
-* Free-box problems: lower faces come from point coordinates plus 0, upper
-  faces from point coordinates plus 1, by the same growing argument; both
-  closures are scored as above.  Emptiness is an open-box notion
-  throughout (a point on the boundary does not spoil a box).
+* Star and box discrepancy: the supremum of |vol - count/W| is attained
+  only in closed/open limits, so it is the larger of the excess
+  (count/W - vol) over closed boxes and the deficit (vol - count/W) over
+  open boxes.  It is positive: at a corner on a point, the closed and the
+  open box differ in count, so excess plus deficit is positive.  An
+  anchored box keeps its lower faces on the 0 wall, inclusive under both
+  closures.
+* Open boxes (deficit, empty star, empty box): grow each face until it
+  hits a point coordinate or the wall, so lower faces from the coordinates
+  plus 0 and upper faces from the coordinates plus 1 are complete.
+  Emptiness is an open-box notion throughout (a point on the boundary does
+  not spoil a box).
+* Closed boxes, by the smallest optimal key (below): faces on the ranks of
+  the points the box holds, plus the 0 wall as a lower face, are complete.
+  A positive excess needs a point inside.  An upper face on no point of
+  the box moves down onto its highest point in that dimension: the count
+  stays, the volume does not grow and the key falls.  A lower face on no
+  point moves up onto the lowest one; at positive volume this shrinks the
+  volume strictly, so an optimal box has none.  The delicate case is the
+  zero-volume tie, where another side is 0 long and the value is the count
+  alone: moving such a lower face down to the 0 wall loses no point, keeps
+  the volume 0 and lowers the key, so the smallest key has it on the wall.
+  The 1 wall is never needed.  The faces of a box at depth j are thus the
+  ranks of the points surviving depths < j, plus the 0 wall.
 * Bichromatic / red-blue: any box shrinks onto the bounding box of its
   majority-color content without losing majority points or gaining
   minority points, so closed boxes with faces on majority coordinates are
-  a complete candidate set.
+  complete: the closed-box argument without the walls, as volume does not
+  count.
 * Half-spaces: a closed half-space with blue weight >= m and no reds
   exists iff some subset of at most m distinct blue points of total weight
   >= m is strongly separable from the reds, which is decided by exact
@@ -28,39 +43,38 @@ a witness range.  The completeness arguments, recorded here once:
   phase-1 multipliers.  No hyperplane-enumeration shortcut is trusted.
   A search projecting more than MAX_HALFSPACE_SUBSETS subsets is refused.
 
-Candidate enumeration walks the per-dimension grids in odometer order,
-filtering the point list one dimension at a time down to the last one,
-which is swept (Dobkin, Eppstein & Mitchell 1996): running weight totals
-by rank of the surviving points, built once per node in O(n + R) for R
-ranks, score each last-dimension interval in O(1).  Coordinates are
-replaced by per-dimension ranks (integers) up front.  The star, box,
-empty-star and empty-box problems share one scan over per-dimension rank
-intervals whose hot loop is integer-only: dimension j is scaled by the
-lcm D_j of its denominators, so volumes are integers over P = prod(D_j)
-and discrepancy values integers over W * P; `Fraction`s are built only
-for the report.  The bichromatic and red-blue problems share a second
-scan on the same rank conventions.  Pruning is used where a sound bound
-exists (residual volume for empty-range search; for the two-sided
-discrepancy objective, an excess bound from the closed count and the
-smallest remaining volume together with a deficit bound from the largest
-remaining volume; surviving majority weight for the combinatorial
-problems) and always with a strict inequality, so ties at the optimum
-are never discarded and the reported witness is independent of traversal
-order.  A discrepancy scan still reports the size of its definitional
-grid as `candidates_evaluated`, counted in closed form.
+Box problems run on two scan kernels, one per closure (Gnewuch, Srivastav
+& Winzen 2009; Dobkin, Eppstein & Mitchell 1996).  `_scan_closed` scores
+A * (weight inside) - B * vol with faces made per node: the excess side
+of discrepancy with (A, B) = (P, W), bichromatic and red-blue with B = 0.
+`_scan_open` scores B * vol - A * (weight inside), or finds the largest
+box with no point inside, over every grid interval longest first: the
+deficit side and the empty problems.  A discrepancy partition runs the
+closed pass, then the open pass seeded with its best.  Both kernels
+filter the point list one dimension at a time and sweep the last one:
+running weight totals by rank of the surviving points, built once per
+node in O(n + R) for R ranks, score each last-dimension interval in O(1).
+Coordinates are replaced by per-dimension ranks up front, and dimension j
+is scaled by the lcm D_j of its denominators, so volumes are integers
+over P = prod(D_j), discrepancy values integers over W * P, and
+`Fraction`s are built only for the report.  Pruning uses sound bounds
+(bound weight less the smallest completing volume for closed boxes, the
+largest completing volume for open ones) and always a strict inequality,
+so ties at the optimum are never discarded and the reported witness is
+independent of traversal order.
 
 Determinism: among all optimal candidates the solver reports the one with
-the lexicographically smallest witness key (corner tuple for anchored
-boxes, lower corner then upper corner for free boxes; excess before
-deficit on a full tie).  Parallel runs partition the first dimension's
-candidates, solve partitions independently, and merge with the same
-comparison, so value, witness and side are identical for any worker
-count.  `candidates_evaluated` is too for star and box discrepancy, where
-it is the grid size in closed form; for the empty and majority scans it
-counts scored leaves, which depend on the partition.  Partitions never
-outnumber the CPUs, nor, for the continuous box scan, the first-dimension
-intervals.  They run in a forked pool only above a measured crossover in
-`grid_cells`, and in-process below it, with the same report either way.
+the lexicographically smallest witness key (lower ranks, then upper ranks,
+then the side: excess before deficit on a full tie).  Parallel runs
+partition the first dimension's candidates, solve partitions
+independently, and merge with the same comparison, so value, witness and
+side are identical for any worker count.  `candidates_evaluated` is too
+for star and box discrepancy, where it is the grid size in closed form;
+for the empty and majority scans it counts scored leaves, which depend on
+the partition.  Partitions never outnumber the CPUs, nor, for the
+continuous box scans, the first-dimension open intervals.  They run in a
+forked pool only above a measured crossover in `grid_cells`, and
+in-process below it, with the same report either way.
 """
 
 from __future__ import annotations
@@ -209,44 +223,23 @@ def _run_scan(scan, args, workers: int, mode: str, *grid):
 
 
 # ---------------------------------------------------------------------------
-# Box scan for the star, box, empty-star and empty-box problems: one
-# odometer over per-dimension rank intervals, in scaled integers, with
-# strict bounds.
+# The two box scans, one per closure.  Both walk per-dimension rank pairs in
+# odometer order, filter the point list one dimension at a time, sweep the
+# last dimension with `_prefix`, prune only on a strict `<`, and key a box
+# by lo ranks + hi ranks + side.  Points are flat integer tuples of ranks
+# followed by weight columns.
 
 
-def _intervals(values, ps: PointSet, anchored: bool, empty: bool):
-    """Per-dimension face choices as rank intervals (lo, hi, length).
-
-    Dimension j is scaled by D_j, the lcm of its values' denominators, so
-    every length is an integer and a volume is an integer over
-    P = prod(D_j), which is returned alongside.  An anchored interval has
-    lo = -1, so its lower face is inclusive under both closures.  A free
-    interval takes lo from the coordinates or 0 and hi from the coordinates
-    or 1.  Empty mode drops degenerate free intervals (an open box with a
-    zero side is empty at volume 0, below any open grid cell) and orders
-    each list by descending length, ties in (lo, hi) order.
-    """
-    dims, scale = [], 1
-    for j, vals in enumerate(values):
+def _scaled(values):
+    """Dimension j's values times D_j, the lcm of their denominators, then a
+    trailing 0 so that the anchored lower rank -1 reads as the 0 face; with
+    P = prod(D_j), so that a volume is an integer over P."""
+    ints, scale = [], 1
+    for vals in values:
         den = lcm(*(v.denominator for v in vals))
-        ints = [v.numerator * (den // v.denominator) for v in vals]
+        ints.append([v.numerator * (den // v.denominator) for v in vals] + [0])
         scale *= den
-        if anchored:
-            ivs = [(-1, i, x) for i, x in enumerate(ints)]
-        else:
-            coords = {p.coords[j] for p in ps.points}
-            los = [i for i, v in enumerate(vals) if v == ZERO or v in coords]
-            his = [i for i, v in enumerate(vals) if v == ONE or v in coords]
-            ivs = [
-                (a, b, ints[b] - ints[a])
-                for a in los
-                for b in his
-                if a < b or (a == b and not empty)
-            ]
-        if empty:
-            ivs.sort(key=lambda iv: -iv[2])
-        dims.append(ivs)
-    return dims, scale
+    return ints, scale
 
 
 def _prefix(pts, j, col, size):
@@ -261,47 +254,110 @@ def _prefix(pts, j, col, size):
     return list(accumulate(acc)) + [0]
 
 
-def _scan_boxes(dims, pts, weight, scale, part, nparts):
-    """Best box over the product of `dims`, first dimension partitioned.
+def _scan_closed(pts, ints, zero, weight, seed, part, nparts):
+    """Best closed box by A * inside - B * vol, from `seed` (None or a
+    (value, key) to beat), first dimension partitioned.
 
-    `pts` holds (rank_0, ..., rank_{d-1}, weight) tuples.  A point lies in
-    the closed box when lo <= rank <= hi in every dimension and in the open
-    box when lo < rank < hi.  Returns (best, candidates) with best =
-    (numerator, key) and key = lo ranks + hi ranks (+ side rank 0 for
-    excess, 1 for deficit); ties go to the smallest key.  The point lists
-    are filtered down to the last dimension, which is swept with `_prefix`.
-
-    Discrepancy mode (`weight` = W): values are integers over W * P,
-    excess cw * P - W * vol and deficit W * vol - ow * P.  A subtree at
-    depth j is skipped only when both its excess bound
-    cw * P - W * vol * prod(minlen[j:]) and its deficit bound
-    W * vol * prod(maxlen[j:]) are strictly below the incumbent.  At the
-    last dimension every interval is scored exactly, its closed total
-    giving the excess and its open total the deficit.  The candidate count
-    is this partition's share of the definitional grid.
-
-    Empty mode (`weight` None): values are volumes over P, open boxes
-    only.  Intervals come longest first, so a residual volume below the
-    incumbent ends the loop; once no point can lie strictly inside, the
-    only completion scored is the longest one, or the smallest key when
-    the volume is already 0.  At the last dimension an interval is scored
-    when its open total is 0: weights are at least 1, so no point lies
-    strictly inside.  Each scored completion is one candidate.
+    A point is inside when lo <= rank <= hi in every dimension; anchored
+    boxes keep their lower faces at the `zero` ranks.  With B = `weight` = 0
+    (bichromatic and red-blue) a point is ranks + (bound weight, value) and
+    `inside` sums the value column.  With B = W (the excess side of
+    discrepancy, values integers over W * P) a point is ranks + (A * weight,),
+    one column for both.  Faces are made per node from the ranks of the
+    surviving points of positive bound weight, plus the 0 wall as a lower
+    face when B > 0 (see the module docstring).  A pair is skipped when its
+    bound weight less B times the least volume it can complete to is
+    strictly below the incumbent.  Each scored leaf is a candidate.
+    Returns ((value, key), candidates), key = lo + hi, + (0,) when B > 0.
     """
-    d = len(dims)
-    first = dims[0][part::nparts]
-    size = 1 + max(iv[1] for iv in dims[-1])
-    mintail, maxtail = [1] * (d + 1), [1] * (d + 1)
+    d = len(ints)
+    side = (0,) if weight else ()
+    # B times the least volume below depth j: a free side can be 0 long,
+    # an anchored one (lower rank -1) no shorter than the smallest value.
+    cut = [weight] * (d + 1)
     for j in range(d - 1, -1, -1):
-        mintail[j] = mintail[j + 1] * min(iv[2] for iv in dims[j])
-        maxtail[j] = maxtail[j + 1] * max(iv[2] for iv in dims[j])
+        cut[j] = cut[j + 1] * (ints[j][0] if zero else 0)
     lo: list = [None] * d
     hi: list = [None] * d
-    best = None
+    best, cands = seed, 0
 
-    def empty(j, vol, opened):
+    def rec(j, vol, cur):
         nonlocal best, cands
-        if not opened:
+        ranks = sorted({p[j] for p in cur if p[d]})
+        if zero is not None:
+            pairs = [(zero[j], b) for b in ranks if b >= zero[j]]
+        else:
+            pairs = [(a, b) for i, a in enumerate(ranks) for b in ranks[i:]]
+            if weight and ranks[0]:
+                pairs[:0] = [(0, b) for b in ranks]
+        if j == 0:
+            pairs = pairs[part::nparts]
+        x, c = ints[j], cut[j + 1]
+        bound = _prefix(cur, j, d, len(x) - 1)
+        last = j == d - 1
+        if last and not weight:
+            value = _prefix(cur, j, -1, len(x) - 1)
+        nvol = vol
+        for a, b in pairs:
+            held = bound[b + 1] - bound[a]
+            if weight:
+                nvol = vol * (x[b] - x[a])
+                held -= c * nvol
+            if best is not None and held < best[0]:
+                continue
+            if not last:
+                lo[j], hi[j] = a, b
+                rec(j + 1, nvol, [p for p in cur if a <= p[j] <= b])
+                continue
+            cands += 1
+            val = held if weight else value[b + 1] - value[a]
+            if best is None or val >= best[0]:
+                lo[j], hi[j] = a, b
+                key = tuple(lo) + tuple(hi) + side
+                if best is None or val > best[0] or key < best[1]:
+                    best = (val, key)
+
+    rec(0, 1, pts)
+    return best, cands
+
+
+def _scan_open(pts, ints, zero, weight, seed, part, nparts):
+    """Best open box by W * vol - inside (the deficit side of discrepancy,
+    B = W = `weight`), or, with `weight` None, the largest open box with no
+    point inside; from `seed`, first dimension partitioned.
+
+    A point is ranks + (weight,), pre-multiplied by P for the deficit, and
+    lies inside when lo < rank < hi in every dimension; volumes carry the
+    factor W (1 for an empty box).  Faces are every
+    grid interval with lo < hi (lo at the `zero` ranks when anchored),
+    longest first, ties in (lo, hi) order, so a residual volume strictly
+    below the incumbent ends the loop.  Once no point survives, the only
+    completion scored is the longest one, or the smallest key when the
+    volume is already 0.  An empty box skips every leaf with weight inside.
+    Each scored completion is a candidate.  Returns ((value, key),
+    candidates), key = lo + hi + (1,) for the deficit.
+    """
+    d = len(ints)
+    dims = []
+    for j, x in enumerate(ints):
+        r = len(x) - 1
+        los = [zero[j]] if zero else range(r)
+        ivs = [(a, b, x[b] - x[a]) for a in los for b in range(a + 1, r)]
+        ivs.sort(key=lambda iv: -iv[2])
+        dims.append(ivs)
+    first = dims[0][part::nparts]
+    size = len(ints[-1]) - 1
+    side = () if weight is None else (1,)
+    maxtail = [1] * (d + 1)
+    for j in range(d - 1, -1, -1):
+        maxtail[j] = maxtail[j + 1] * dims[j][0][2]
+    lo: list = [None] * d
+    hi: list = [None] * d
+    best, cands = seed, 0
+
+    def rec(j, vol, cur):
+        nonlocal best, cands
+        if not cur:
             cands += 1
             if vol:
                 rest = [ivs[0] for ivs in dims[j:]]
@@ -310,119 +366,43 @@ def _scan_boxes(dims, pts, weight, scale, part, nparts):
                 rest = [min(ivs) for ivs in dims[j:]]
             key = (
                 tuple(lo[:j]) + tuple(iv[0] for iv in rest)
-                + tuple(hi[:j]) + tuple(iv[1] for iv in rest)
+                + tuple(hi[:j]) + tuple(iv[1] for iv in rest) + side
             )
             if best is None or vol > best[0] or (vol == best[0] and key < best[1]):
                 best = (vol, key)
             return
         if j == d - 1:
-            inside = _prefix(opened, j, -1, size)
+            inside = _prefix(cur, j, -1, size)
             for a, b, length in first if j == 0 else dims[j]:
                 nvol = vol * length
                 if best is not None and nvol < best[0]:
                     break
-                if inside[b] == inside[a + 1]:
+                if weight is None and inside[b] != inside[a + 1]:
+                    continue
+                cands += 1
+                val = nvol - (inside[b] - inside[a + 1])
+                if best is None or val >= best[0]:
                     lo[j], hi[j] = a, b
-                    empty(d, nvol, ())
+                    key = tuple(lo) + tuple(hi) + side
+                    if best is None or val > best[0] or key < best[1]:
+                        best = (val, key)
             return
         for a, b, length in first if j == 0 else dims[j]:
             nvol = vol * length
             if best is not None and nvol * maxtail[j + 1] < best[0]:
                 break
             lo[j], hi[j] = a, b
-            empty(j + 1, nvol, [p for p in opened if a < p[j] < b])
+            rec(j + 1, nvol, [p for p in cur if a < p[j] < b])
 
-    def disc(j, vol, closed, opened):
-        nonlocal best
-        if j == d - 1:
-            cacc, oacc = _prefix(closed, j, -1, size), _prefix(opened, j, -1, size)
-            wvol = weight * vol
-            for a, b, length in first if j == 0 else dims[j]:
-                nvol = wvol * length
-                val, side = (cacc[b + 1] - cacc[a]) * scale - nvol, 0
-                # At a == b this "deficit" is the open weight at rank a
-                # times P, at most the excess, so the excess side stands.
-                deficit = nvol - (oacc[b] - oacc[a + 1]) * scale
-                if deficit > val:
-                    val, side = deficit, 1
-                if best is None or val >= best[0]:
-                    lo[j], hi[j] = a, b
-                    key = tuple(lo) + tuple(hi) + (side,)
-                    if best is None or val > best[0] or key < best[1]:
-                        best = (val, key)
-            return
-        for a, b, length in first if j == 0 else dims[j]:
-            nvol = vol * length
-            nc = [p for p in closed if a <= p[j] <= b]
-            ncw = sum([p[-1] for p in nc])
-            if (
-                best is not None
-                and weight * nvol * maxtail[j + 1] < best[0]
-                and ncw * scale - weight * nvol * mintail[j + 1] < best[0]
-            ):
-                continue
-            lo[j], hi[j] = a, b
-            disc(j + 1, nvol, nc, [p for p in opened if a < p[j] < b])
-
-    if weight is None:
-        cands = 0
-        empty(0, 1, pts)
-    else:
-        cands = len(first) * prod(len(ivs) for ivs in dims[1:])
-        disc(0, 1, pts, pts)
+    rec(0, weight or 1, pts)
     return best, cands
 
 
-# ---------------------------------------------------------------------------
-# Majority-color box scan (bichromatic and red-blue discrepancy) on the box
-# scan's conventions.  A point is the flat integer tuple ranks + (majority
-# weight, value): a majority point scores +w, a minority point -w, or more
-# than all majority weight together when the box must be minority-free, so
-# that a box holding one scores below 0.  Faces lie on majority ranks of the
-# points surviving the earlier dimensions, so pairs are made per node.
-
-
-def _scan_majority_box(pts, zero, init_best, part, nparts):
-    """Best closed box as (value, lo ranks + hi ranks), from `init_best`
-    (None, or the blue optimum seeding red-blue's red pass).  Anchored boxes
-    have lower faces at the `zero` ranks.  Each scored leaf is a candidate.
-    Running totals by rank give every pair's majority weight before the
-    point list is filtered, and a pair strictly below the incumbent is
-    skipped; at the last dimension the value totals score each pair."""
-    d = len(pts[0]) - 2
-    size = 1 + max(max(p[:d]) for p in pts)
-    best = init_best
-    cands = 0
-    lo: list = [None] * d
-    hi: list = [None] * d
-
-    def rec(j, cur):
-        nonlocal best, cands
-        ranks = sorted({p[j] for p in cur if p[d]})
-        if zero is None:
-            pairs = [(a, b) for i, a in enumerate(ranks) for b in ranks[i:]]
-        else:
-            pairs = [(zero[j], b) for b in ranks if b >= zero[j]]
-        if j == 0:
-            pairs = pairs[part::nparts]
-        major = _prefix(cur, j, d, size)
-        value = _prefix(cur, j, -1, size) if j == d - 1 else None
-        for a, b in pairs:
-            if best is not None and major[b + 1] - major[a] < best[0]:
-                continue
-            lo[j], hi[j] = a, b
-            if value is None:
-                rec(j + 1, [p for p in cur if a <= p[j] <= b])
-                continue
-            cands += 1
-            val = value[b + 1] - value[a]
-            if best is None or val >= best[0]:
-                key = tuple(lo) + tuple(hi)
-                if best is None or val > best[0] or key < best[1]:
-                    best = (val, key)
-
-    rec(0, pts)
-    return best, cands
+def _scan_disc(pts, ints, zero, weight, part, nparts):
+    """Discrepancy over one partition: the excess pass over closed boxes,
+    then the deficit pass over open boxes, seeded with the excess best."""
+    best, _ = _scan_closed(pts, ints, zero, weight, None, part, nparts)
+    return _scan_open(pts, ints, zero, weight, best, part, nparts)
 
 
 # ---------------------------------------------------------------------------
@@ -430,22 +410,27 @@ def _scan_majority_box(pts, zero, init_best, part, nparts):
 
 
 def _solve_boxes(ps: PointSet, anchored: bool, weight, workers: int):
-    """Run the box scan; returns (value, lower, upper, side, candidates).
+    """Run the box scans; returns (value, lower, upper, side, candidates).
 
     `weight` None asks for the largest empty open box (side is None then).
     Anchored callers read only upper."""
     values = critical_grid(ps, with_zero=not anchored, with_one=True).values
-    dims, scale = _intervals(values, ps, anchored, empty=weight is None)
-    pts = [ranks + (p.weight,) for ranks, p in zip(_rank_points(ps, values), ps.points)]
-    workers = min(workers, len(dims[0]))
-    mode = "empty" if weight is None else "disc"
-    runs = _run_scan(_scan_boxes, (dims, pts, weight, scale), workers, mode, ps, anchored)
-    (num, key), cands = _merge(runs)
-    lower, upper = _faces(values, key)
+    ints, scale = _scaled(values)
+    zero = (-1,) * ps.dim if anchored else None
+    # No more partitions than first-dimension open intervals.
+    r = len(values[0])
+    workers = min(workers, r if anchored else r * (r - 1) // 2)
+    ranks = _rank_points(ps, values)
     if weight is None:
-        return Fraction(num, scale), lower, upper, None, cands
+        pts = [rk + (p.weight,) for rk, p in zip(ranks, ps.points)]
+        runs = _run_scan(_scan_open, (pts, ints, zero, None, None), workers, "empty", ps, anchored)
+        (num, key), cands = _merge(runs)
+        return Fraction(num, scale), *_faces(values, key), None, cands
+    pts = [rk + (p.weight * scale,) for rk, p in zip(ranks, ps.points)]
+    runs = _run_scan(_scan_disc, (pts, ints, zero, weight), workers, "disc", ps, anchored)
+    (num, key), _ = _merge(runs)
     side = "deficit" if key[-1] else "excess"
-    return Fraction(num, scale * weight), lower, upper, side, cands
+    return Fraction(num, scale * weight), *_faces(values, key), side, grid_cells(ps, anchored)
 
 
 def solve_star_discrepancy(ps: PointSet, workers: int = 1) -> DiscrepancyReport:
@@ -498,8 +483,10 @@ def _solve_majority(ps, values, major, penalty, zero, init_best, workers):
         ranks + (p.weight if p.color == major else 0, score[p.color] * p.weight)
         for ranks, p in zip(_rank_points(ps, values), ps.points)
     ]
+    # Volume does not count here, so every value may scale to 0.
+    args = (pts, [[0] * (len(vs) + 1) for vs in values], zero, 0, init_best)
     grid = (ps, zero is not None, (major,))
-    return _merge(_run_scan(_scan_majority_box, (pts, zero, init_best), workers, "majority", *grid))
+    return _merge(_run_scan(_scan_closed, args, workers, "majority", *grid))
 
 
 def solve_bichromatic_box(

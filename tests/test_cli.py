@@ -6,13 +6,15 @@ from time import perf_counter
 import pytest
 
 from discrepancy import cli
-from discrepancy.instances import read_instance
+from discrepancy.instances import read_graph, read_instance
 
 F = Fraction
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 EDGE_TEXT = "2 1\n1 2\n"
 EMPTY2_TEXT = "2 0\n"
+K5_TEXT = "5 10\n1 2\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n3 4\n3 5\n4 5\n"
+K4_FREE_TEXT = "5 8\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n3 5\n4 5\n"
 
 
 @pytest.fixture
@@ -103,6 +105,23 @@ def test_verify_every_type_on_small_graphs(k3_file, edge_file, tmp_path):
     for kind in cli._GADGETS:
         for graph in (k3_file, edge_file):
             assert cli.main(["verify", "--type", kind, "--graph", graph, "-k", "2"]) == 0, kind
+
+
+@pytest.mark.parametrize("kind", ["star-disc", "box-disc"])
+def test_verify_discrepancy_at_k4_on_five_vertices(kind, tmp_path, capsys):
+    """k = 4 puts the box scans at d = 8: K5 attains the gadget's stated
+    value exactly, and an 8-edge K4-free graph stays strictly below it."""
+    for name, text, clique in (("k5", K5_TEXT, True), ("k4-free", K4_FREE_TEXT, False)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        assert cli.main(["verify", "--type", kind, "--graph", str(path), "-k", "4"]) == 0
+        line = capsys.readouterr().out.strip()
+        expected = cli._GADGETS[kind](read_graph(path), 4, None, False).expected_positive
+        relation = "eq" if clique else "lt"
+        head = f"match: type={kind} k=4 clique={clique} expected=({relation}, {expected}) got="
+        assert line.startswith(head), line
+        got = F(line[len(head):])
+        assert got == expected if clique else got < expected
 
 
 def test_verify_mismatch_exits_one(k3_file, monkeypatch, capsys):

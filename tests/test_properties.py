@@ -17,6 +17,7 @@ from discrepancy import (  # noqa: E402
     BLUE,
     RED,
     AnchoredBox,
+    Box,
     PointSet,
     WeightedPoint,
     box_volume,
@@ -114,3 +115,36 @@ def test_a_weight_acts_as_coincident_unit_copies(ps):
 def test_one_and_two_workers_agree(ps):
     for solve in SOLVERS:
         assert _outcome(solve(ps, workers=1)) == _outcome(solve(ps, workers=2)), solve.__name__
+
+
+def _mapped(ps, f):
+    """The set with every point's coordinate tuple replaced by f(coords)."""
+    return PointSet(ps.dim, tuple(WeightedPoint(f(p.coords), p.color, p.weight) for p in ps.points))
+
+
+@SETTINGS
+@given(point_sets(), st.data())
+def test_permuting_dimensions_keeps_the_value_and_a_recounting_witness(ps, data):
+    perm = data.draw(st.permutations(range(ps.dim)))
+    permuted = _mapped(ps, lambda c: tuple(c[i] for i in perm))
+    for solve in SOLVERS:
+        rep = solve(permuted)
+        assert _outcome(rep)[0] == _outcome(solve(ps))[0], solve.__name__
+        assert _recount(permuted, solve, rep) == _outcome(rep)[0], solve.__name__
+
+
+@SETTINGS
+@given(point_sets())
+def test_majority_scans_ignore_an_order_preserving_coordinate_map(ps):
+    """Squaring keeps every coordinate order, so the value stays and the
+    witness faces are the squares of the old ones: the same ranks."""
+
+    def square(c):
+        return tuple(x * x for x in c)
+
+    squared = _mapped(ps, square)
+    for solve in (solve_bichromatic_box, solve_redblue_box_discrepancy):
+        rep, old = solve(squared), solve(ps)
+        assert rep.value == old.value, solve.__name__
+        if old.witness is not None:
+            assert rep.witness == Box(square(old.witness.lower), square(old.witness.upper), True)
