@@ -9,6 +9,13 @@ of per-plane choices whenever the corresponding vertices are not adjacent
 achieving the instance's expected value must therefore select k pairwise
 adjacent vertices, and conversely any k-clique yields such a range.
 
+One helper, `_kill_points`, builds the kill points of every gadget from a
+per-vertex corner, once per unordered plane pair i < j and bad vertex pair.
+So the hyperbolic gadgets know their point count before they are built,
+as `choose_mu` needs: N = k(n+1) + C(k,2)|bad pairs| (+2 for the box
+discrepancy corners), where |bad pairs| = n + 2(C(n,2) - |E|) counts the
+ordered pairs (u, v) with u = v or uv not an edge.
+
 Each builder packages the point set together with all derived constants
 (k, n, N, mu, C, V, eps) and the expected optimum, so tests and the
 verification pipeline can check the equivalences instead of trusting the
@@ -19,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import Iterable, Optional
 
 from .geometry import BLUE, ONE, RED, ZERO, Point, PointSet, WeightedPoint
@@ -102,10 +111,6 @@ def _embed(k: int, plane: int, x: Fraction, y: Fraction) -> Point:
     return tuple(coords)
 
 
-def _vec_add(a: Point, b: Point) -> Point:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _bad_vertex_pairs(g: Graph):
     """Ordered vertex pairs that may not be chosen together: equal vertices
     (a vertex cannot be picked in two planes) and non-adjacent pairs."""
@@ -117,55 +122,49 @@ def _bad_vertex_pairs(g: Graph):
     ]
 
 
+def _kill_points(g: Graph, k: int, corner: dict) -> list[Point]:
+    """One kill point per plane pair i < j and bad vertex pair (u, v):
+    corner[u] in plane i, corner[v] in plane j, zeros elsewhere, sorted.
+
+    The bad pairs are symmetric, so the pair (j, i) with (u, v) would give
+    the same point as (i, j) with (v, u); walking only i < j builds each
+    point once."""
+    bad = _bad_vertex_pairs(g)
+    points = []
+    for i, j in combinations(range(1, k + 1), 2):
+        for u, v in bad:
+            coords = [ZERO] * (2 * k)
+            coords[2 * i - 2 : 2 * i] = corner[u]
+            coords[2 * j - 2 : 2 * j] = corner[v]
+            points.append(tuple(coords))
+    return sorted(points)
+
+
 # ---------------------------------------------------------------------------
 # Box reductions on the diagonal scaffold.
-
-
-def _diagonal_blue(k: int, n: int, i: int, v: int) -> Point:
-    return _embed(k, i, Fraction(v), Fraction(n + 1 - v))
-
-
-def _box_reduction_points(g: Graph, k: int):
-    n = g.n
-    blues = [(ZERO,) * (2 * k)]
-    for i in range(1, k + 1):
-        for v in range(1, n + 1):
-            blues.append(_diagonal_blue(k, n, i, v))
-    reds = []
-    for i in range(1, k + 1):
-        for v in range(1, n):
-            reds.append(_embed(k, i, Fraction(v) + HALF, Fraction(n + 1 - v) - HALF))
-    kills = set()
-    bad = _bad_vertex_pairs(g)
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if i == j:
-                continue
-            for u, v in bad:
-                kills.add(_vec_add(_diagonal_blue(k, n, i, u), _diagonal_blue(k, n, j, v)))
-    return blues, reds + sorted(kills)
-
-
-def _scale_points(points: list[Point], factor: Fraction) -> list[Point]:
-    return [tuple(c * factor for c in p) for p in points]
 
 
 def build_bichromatic_gadget(g: Graph, k: int, normalize: bool = True) -> GadgetInstance:
     """Points whose largest red-free box holds k+1 blues iff G has a k-clique.
 
-    With `normalize` the raw integer/half-integer coordinates are divided by
-    n+1 so the set lies in the unit cube; that map is a per-dimension order
-    isomorphism, so every combinatorial value is unchanged.
+    Blue origin and per-plane diagonal blues (v, n+1-v); red separators
+    between consecutive blues, then the kill points.  With `normalize` the
+    raw integer/half-integer coordinates are divided by n+1 so the set lies
+    in the unit cube; that map is a per-dimension order isomorphism, so
+    every combinatorial value is unchanged.
     """
     _check_reduction_size(g, k)
-    blues, reds = _box_reduction_points(g, k)
-    if normalize:
-        factor = Fraction(1, g.n + 1)
-        blues = _scale_points(blues, factor)
-        reds = _scale_points(reds, factor)
+    n = g.n
+    scale = Fraction(1, n + 1) if normalize else ONE
+    corner = {v: (v * scale, (n + 1 - v) * scale) for v in range(1, n + 1)}
+    blues = [(ZERO,) * (2 * k)]
+    reds = []
+    for i in range(1, k + 1):
+        blues += [_embed(k, i, *corner[v]) for v in range(1, n + 1)]
+        reds += [_embed(k, i, (v + HALF) * scale, (n + HALF - v) * scale) for v in range(1, n)]
     pts = tuple(
         [WeightedPoint(p, BLUE, 1) for p in blues]
-        + [WeightedPoint(p, RED, 1) for p in reds]
+        + [WeightedPoint(p, RED, 1) for p in reds + _kill_points(g, k, corner)]
     )
     points = PointSet(2 * k, pts)
     params = GadgetParams(k=k, n=g.n, N=points.total_weight)
@@ -195,37 +194,15 @@ def build_redblue_gadget(g: Graph, k: int, normalize: bool = True) -> GadgetInst
 # Hyperbolic scaffold for the continuous problems.
 
 
-def _hyperbola_scaffold(g: Graph, k: int, mu: Fraction):
-    """Scaffold and kill points for the empty-star family.
+def build_empty_star_gadget(g: Graph, k: int, mu: Fraction) -> GadgetInstance:
+    """Uncolored set whose largest empty star has volume C^k iff G has a
+    k-clique, and at most C^k/mu otherwise.
 
     C = 1/mu^(n-1).  Plane scaffold points sit just below the area-C
     hyperbola at (C mu^(u-1), mu^-u) for u = 0..n, so every maximal empty
     anchored rectangle has its corner at one of the n area-C choices
     (C mu^(u-1), mu^-(u-1)).  Kill points pair the shifted per-plane corner
     (C mu^(u-2), mu^-u) across two planes for forbidden vertex pairs.
-    """
-    n = g.n
-    C = Fraction(1) / rational_pow(mu, n - 1)
-    scaffold = []
-    for i in range(1, k + 1):
-        for u in range(0, n + 1):
-            scaffold.append(_embed(k, i, C * mu ** (u - 1), mu ** (-u)))
-    kills = set()
-    bad = _bad_vertex_pairs(g)
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if i == j:
-                continue
-            for u, v in bad:
-                a = _embed(k, i, C * mu ** (u - 2), mu ** (-u))
-                b = _embed(k, j, C * mu ** (v - 2), mu ** (-v))
-                kills.add(_vec_add(a, b))
-    return C, scaffold + sorted(kills)
-
-
-def build_empty_star_gadget(g: Graph, k: int, mu: Fraction) -> GadgetInstance:
-    """Uncolored set whose largest empty star has volume C^k iff G has a
-    k-clique, and at most C^k/mu otherwise.
 
     The no-instance bound C^k/mu (``expected_negative``) is attained iff G
     has a (k-1)-clique: the sharp value is C^w (C/mu)^(k-w) with
@@ -235,7 +212,13 @@ def build_empty_star_gadget(g: Graph, k: int, mu: Fraction) -> GadgetInstance:
     mu = Fraction(mu)
     if mu <= 1:
         raise ValueError("mu must exceed 1")
-    C, coords = _hyperbola_scaffold(g, k, mu)
+    n = g.n
+    C = Fraction(1) / rational_pow(mu, n - 1)
+    scaffold = [
+        _embed(k, i, C * mu ** (u - 1), mu ** (-u)) for i in range(1, k + 1) for u in range(n + 1)
+    ]
+    corner = {u: (C * mu ** (u - 2), mu ** (-u)) for u in range(1, n + 1)}
+    coords = scaffold + _kill_points(g, k, corner)
     points = PointSet(2 * k, tuple(WeightedPoint(p, None, 1) for p in coords))
     V = rational_pow(C, k)
     params = GadgetParams(k=k, n=g.n, N=points.total_weight, mu=mu, C=C, V=V)
@@ -259,26 +242,27 @@ def choose_mu(k: int, n: int, N: int) -> tuple[int, Fraction]:
     return t, mu
 
 
-def _star_count(g: Graph, k: int) -> int:
-    """Point count of the hyperbolic construction (independent of mu)."""
-    _, coords = _hyperbola_scaffold(g, k, Fraction(2))
-    return len(coords)
+def _tuned_hyperbola(g: Graph, k: int, extra: int):
+    """Params (N, t, mu, C, V) and the empty-star base for a hyperbolic
+    gadget of N points: the empty-star set plus `extra` points.  N is known
+    before the build, as choose_mu needs it: k(n+1) scaffold points, C(k,2)
+    kill points per bad vertex pair, plus extra."""
+    _check_reduction_size(g, k)
+    n_points = k * (g.n + 1) + comb(k, 2) * len(_bad_vertex_pairs(g)) + extra
+    t, mu = choose_mu(k, g.n, n_points)
+    base = build_empty_star_gadget(g, k, mu)
+    C, V = base.params.C, base.params.V
+    if not V > Fraction(n_points - 1, n_points):
+        raise RuntimeError("expected C^k > (N-1)/N")
+    return GadgetParams(k=k, n=g.n, N=n_points, mu=mu, t=t, C=C, V=V), base
 
 
 def build_star_discrepancy_gadget(g: Graph, k: int) -> GadgetInstance:
     """Hyperbolic set with mu tuned so star discrepancy equals C^k iff G has
     a k-clique: C^k > (N-1)/N caps the excess side below the empty-star
     deficit."""
-    _check_reduction_size(g, k)
-    n_points = _star_count(g, k)
-    t, mu = choose_mu(k, g.n, n_points)
-    base = build_empty_star_gadget(g, k, mu)
-    C = base.params.C
-    V = base.params.V
-    if not V > Fraction(n_points - 1, n_points):
-        raise RuntimeError("expected C^k > (N-1)/N")
-    params = GadgetParams(k=k, n=g.n, N=n_points, mu=mu, t=t, C=C, V=V)
-    return GadgetInstance(params, base.points, "star-disc", expected_positive=V)
+    params, base = _tuned_hyperbola(g, k, 0)
+    return GadgetInstance(params, base.points, "star-disc", expected_positive=params.V)
 
 
 def lift_points(ps: PointSet) -> PointSet:
@@ -305,22 +289,13 @@ def build_empty_box_gadget(g: Graph, k: int) -> GadgetInstance:
     equality iff G has a (k-1)-clique, as for the empty star.  The
     rational mu from choose_mu keeps C^k above both 2/3 (the lifting
     threshold) and (N-1)/N."""
-    _check_reduction_size(g, k)
-    n_points = _star_count(g, k)
-    t, mu = choose_mu(k, g.n, n_points)
-    base = build_empty_star_gadget(g, k, mu)
-    V = base.params.V
+    params, base = _tuned_hyperbola(g, k, 0)
+    V = params.V
     if not V > Fraction(2, 3):
         raise RuntimeError("expected C^k > 2/3")
-    if not V > Fraction(n_points - 1, n_points):
-        raise RuntimeError("expected C^k > (N-1)/N")
-    params = GadgetParams(k=k, n=g.n, N=n_points, mu=mu, t=t, C=base.params.C, V=V)
+    points = lift_points(base.points)
     return GadgetInstance(
-        params,
-        lift_points(base.points),
-        "empty-box",
-        expected_positive=V,
-        expected_negative=V / mu,
+        params, points, "empty-box", expected_positive=V, expected_negative=V / params.mu
     )
 
 
@@ -332,23 +307,14 @@ def build_box_discrepancy_gadget(g: Graph, k: int) -> GadgetInstance:
     C^k iff G has a k-clique.  N counts the two extra points before mu is
     chosen.  The origin is left unlifted; open boxes never contain either
     corner point."""
-    _check_reduction_size(g, k)
-    n_points = _star_count(g, k) + 2
-    t, mu = choose_mu(k, g.n, n_points)
-    base = build_empty_star_gadget(g, k, mu)
-    lifted = lift_points(base.points)
+    params, base = _tuned_hyperbola(g, k, 2)
     d = 2 * k
     pts = (
         (WeightedPoint((ZERO,) * d, None, 1),)
-        + lifted.points
+        + lift_points(base.points).points
         + (WeightedPoint((ONE,) * d, None, 1),)
     )
-    points = PointSet(d, pts)
-    V = base.params.V
-    if not V > Fraction(n_points - 1, n_points):
-        raise RuntimeError("expected C^k > (N-1)/N")
-    params = GadgetParams(k=k, n=g.n, N=n_points, mu=mu, t=t, C=base.params.C, V=V)
-    return GadgetInstance(params, points, "box-disc", expected_positive=V)
+    return GadgetInstance(params, PointSet(d, pts), "box-disc", expected_positive=params.V)
 
 
 # ---------------------------------------------------------------------------
@@ -382,32 +348,18 @@ def build_halfspace_gadget(g: Graph, k: int) -> GadgetInstance:
     """
     _check_reduction_size(g, k)
     n = g.n
+    on_circle = {v: circle_point(Fraction(v, n + 1)) for v in range(1, n + 1)}
+    separators = [circle_point(Fraction(2 * v + 1, 2 * (n + 1))) for v in range(0, n + 1)]
     blues = [(ZERO,) * (2 * k)]
-    blue_of = {}
-    for i in range(1, k + 1):
-        for v in range(1, n + 1):
-            x, y = circle_point(Fraction(v, n + 1))
-            blue_of[(i, v)] = _embed(k, i, x, y)
-            blues.append(blue_of[(i, v)])
     reds = []
     for i in range(1, k + 1):
-        for v in range(0, n + 1):
-            x, y = circle_point(Fraction(2 * v + 1, 2 * (n + 1)))
-            reds.append(_embed(k, i, x, y))
-    kills = set()
-    bad = _bad_vertex_pairs(g)
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if i == j:
-                continue
-            for u, v in bad:
-                mid = tuple(
-                    (a + b) / 2 for a, b in zip(blue_of[(i, u)], blue_of[(j, v)])
-                )
-                kills.add(mid)
+        blues += [_embed(k, i, *on_circle[v]) for v in range(1, n + 1)]
+        reds += [_embed(k, i, *xy) for xy in separators]
+    # The midpoint of two blues in different planes is half of each blue.
+    halves = {v: (x / 2, y / 2) for v, (x, y) in on_circle.items()}
     pts = tuple(
         [WeightedPoint(p, BLUE, 1) for p in blues]
-        + [WeightedPoint(p, RED, 1) for p in reds + sorted(kills)]
+        + [WeightedPoint(p, RED, 1) for p in reds + _kill_points(g, k, halves)]
     )
     points = PointSet(2 * k, pts)
     params = GadgetParams(k=k, n=g.n, N=points.total_weight)

@@ -81,7 +81,7 @@ def _integer(value, what: str) -> int:
 
 def instance_from_doc(doc: dict) -> GadgetInstance:
     _expect(doc, dict, "instance")
-    dim = doc["dim"]
+    dim = _integer(doc["dim"], "dim")
     raw_params = _expect(doc["params"], dict, "params")
     t = raw_params.get("t")
     params = GadgetParams(

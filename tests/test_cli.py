@@ -107,21 +107,28 @@ def test_verify_every_type_on_small_graphs(k3_file, edge_file, tmp_path):
             assert cli.main(["verify", "--type", kind, "--graph", graph, "-k", "2"]) == 0, kind
 
 
-@pytest.mark.parametrize("kind", ["star-disc", "box-disc"])
+@pytest.mark.parametrize(
+    "kind", ["star-disc", "box-disc", "empty-star", "empty-box", "bichromatic", "redblue", "net-box"]
+)
 def test_verify_discrepancy_at_k4_on_five_vertices(kind, tmp_path, capsys):
     """k = 4 puts the box scans at d = 8: K5 attains the gadget's stated
-    value exactly, and an 8-edge K4-free graph stays strictly below it."""
+    value exactly, and an 8-edge K4-free graph misses it as the clique
+    oracle predicts."""
     for name, text, clique in (("k5", K5_TEXT, True), ("k4-free", K4_FREE_TEXT, False)):
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
         assert cli.main(["verify", "--type", kind, "--graph", str(path), "-k", "4"]) == 0
         line = capsys.readouterr().out.strip()
-        expected = cli._GADGETS[kind](read_graph(path), 4, None, False).expected_positive
-        relation = "eq" if clique else "lt"
+        inst = cli._GADGETS[kind](read_graph(path), 4, None, False)
+        relation, expected = cli._expected_outcome(inst, clique)
         head = f"match: type={kind} k=4 clique={clique} expected=({relation}, {expected}) got="
         assert line.startswith(head), line
-        got = F(line[len(head):])
-        assert got == expected if clique else got < expected
+        got = line[len(head):]
+        if relation == "is_net":
+            assert got == str(expected)
+        else:
+            got = F(got)
+            assert {"eq": got == expected, "lt": got < expected, "le": got <= expected}[relation]
 
 
 def test_verify_mismatch_exits_one(k3_file, monkeypatch, capsys):

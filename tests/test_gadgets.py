@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -19,8 +20,9 @@ from discrepancy import (
     point_set,
 )
 from discrepancy.gadgets import circle_point
+from discrepancy.instances import dumps_instance
 from discrepancy.numerics import rational_pow
-from conftest import graphs_up_to
+from conftest import GRAPHS_N4, GRAPHS_N5, _classes_on, graphs_up_to
 
 F = Fraction
 
@@ -342,3 +344,46 @@ def test_all_gadgets_recompute_weight_and_dimension():
             inst = build(g, 2)
             assert inst.points.total_weight == inst.params.N, (name, inst.problem)
             assert inst.points.dim == 2 * inst.params.k, (name, inst.problem)
+
+
+def test_graph_classes_up_to_five_vertices():
+    # the generator reproduces the hand-written class counts and finds 34 on 5
+    assert [len(_classes_on(n)) for n in (2, 3, 4, 5)] == [2, 4, len(GRAPHS_N4), 34]
+    assert [name for name, _ in graphs_up_to(5)][-34:] == [f"n5-{name}" for name in GRAPHS_N5]
+
+
+# One sha256 per gadget type over dumps_instance of its output on every graph
+# class with at most five vertices at k = 2 and 3 (bichromatic and redblue
+# normalized, then raw).  Pins every coordinate, constant and the point order.
+_PINNED_BUILDS = {
+    "bichromatic": lambda g, k: [build_bichromatic_gadget(g, k), build_bichromatic_gadget(g, k, False)],
+    "redblue": lambda g, k: [build_redblue_gadget(g, k), build_redblue_gadget(g, k, False)],
+    "empty-star": lambda g, k: [build_empty_star_gadget(g, k, F(2))],
+    "star-disc": lambda g, k: [build_star_discrepancy_gadget(g, k)],
+    "empty-box": lambda g, k: [build_empty_box_gadget(g, k)],
+    "box-disc": lambda g, k: [build_box_discrepancy_gadget(g, k)],
+    "halfspace": lambda g, k: [build_halfspace_gadget(g, k)],
+    "net-halfspace": lambda g, k: [build_net_instance(g, k, "halfspace")],
+    "net-box": lambda g, k: [build_net_instance(g, k, "box")],
+}
+GADGET_DIGESTS = {
+    "bichromatic": "cc4218c5a282fa4b53f5d245514547fe50c6eac55c1dc0adf21e56e7c88d59ef",
+    "redblue": "ec10761cf1afe888b1d8b0f94f8c8159a50e348a60b961e1fd341a93f0e7cdbd",
+    "empty-star": "b2730bb780c247186343f6fecbb270b609759fd5faef848cea6e9c55245f6e4d",
+    "star-disc": "e5cbbee9a9ff8427037cf93e92c03ec1d3fe36b27258ccfbfbedeac67b7309ba",
+    "empty-box": "a6c3169ed88ebb214405454f8e7ef18627782e0a44586350609775c418a8f91e",
+    "box-disc": "af6a23b6ec7ebe9fde606e8db063b6322394f754d2193d8431e4f4feab24677e",
+    "halfspace": "d9d7afef653bd31f4de32db779567ce9caa5ff8b9696a56491c5cca5cba16694",
+    "net-halfspace": "1dd581eada60a2963b6eae41b035c2f1ebf6125ae31ff276079f6a93ec1c7296",
+    "net-box": "63323b7f379655a8fbf1900218cc238a28943f56288eeeec08c5f6c579c2b09d",
+}
+
+
+@pytest.mark.parametrize("kind", list(GADGET_DIGESTS))
+def test_compiler_output_is_pinned(kind):
+    digest = hashlib.sha256()
+    for _, g in graphs_up_to(5):
+        for k in (2, 3):
+            for inst in _PINNED_BUILDS[kind](g, k):
+                digest.update(dumps_instance(inst).encode())
+    assert digest.hexdigest() == GADGET_DIGESTS[kind]

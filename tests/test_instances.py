@@ -121,6 +121,15 @@ def test_params_and_in_s_are_type_checked(k3):
             with pytest.raises(ValueError, match=f"params.{name}"):
                 instance_from_doc(broken)
     assert instance_from_doc(doc).params.t == doc["params"]["t"]
+    for bad in (4.0, True):
+        broken = json.loads(json.dumps(doc))
+        broken["dim"] = bad
+        if bad is True:
+            # one coordinate per point, so only the type of dim is wrong
+            for entry in broken["points"]:
+                entry["coords"] = entry["coords"][:1]
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            instance_from_doc(broken)
     net = json.loads(dumps_instance(build_net_instance(k3, 2, "box")))
     for bad in ("yes", 1, 0, None):
         broken = json.loads(json.dumps(net))
