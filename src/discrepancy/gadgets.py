@@ -46,6 +46,8 @@ PROBLEMS = (
     "net-halfspace",
     "net-box",
 )
+# Problems on plain points: a colored point there is a malformed instance.
+_UNCOLORED = ("empty-star", "star-disc", "empty-box", "box-disc")
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,13 @@ class GadgetInstance:
     def __post_init__(self) -> None:
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem: {self.problem}")
+        if self.problem in _UNCOLORED and any(p.color for p in self.points.points):
+            raise ValueError(f"{self.problem} points must be uncolored")
+        if self.problem.startswith("net-") and self.params.eps is None:
+            raise ValueError(f"{self.problem} instance needs params.eps")
+        threshold = self.expected_positive
+        if self.problem == "halfspace-bichromatic" and Fraction(threshold).denominator != 1:
+            raise ValueError(f"expected_positive must be an integer threshold, got {threshold}")
 
 
 def _check_reduction_size(g: Graph, k: int) -> None:

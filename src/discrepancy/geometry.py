@@ -170,8 +170,6 @@ class CriticalGrid:
 
 def critical_grid(ps: PointSet, with_zero: bool = False, with_one: bool = False) -> CriticalGrid:
     """Distinct sorted coordinates per dimension, plus requested sentinels."""
-    if not ps.points:
-        raise ValueError("empty point set")
     dims = []
     for j in range(ps.dim):
         vals = {p.coords[j] for p in ps.points}

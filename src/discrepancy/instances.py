@@ -79,15 +79,21 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _required(doc: dict, key: str, where: str = ""):
+    if key not in doc:
+        raise ValueError(f"missing required key {where + key!r}")
+    return doc[key]
+
+
 def instance_from_doc(doc: dict) -> GadgetInstance:
     _expect(doc, dict, "instance")
-    dim = _integer(doc["dim"], "dim")
-    raw_params = _expect(doc["params"], dict, "params")
+    dim = _integer(_required(doc, "dim"), "dim")
+    raw_params = _expect(_required(doc, "params"), dict, "params")
     t = raw_params.get("t")
     params = GadgetParams(
-        k=_integer(raw_params["k"], "params.k"),
-        n=_integer(raw_params["n"], "params.n"),
-        N=_integer(raw_params["N"], "params.N"),
+        k=_integer(_required(raw_params, "k", "params."), "params.k"),
+        n=_integer(_required(raw_params, "n", "params."), "params.n"),
+        N=_integer(_required(raw_params, "N", "params."), "params.N"),
         t=None if t is None else _integer(t, "params.t"),
         **{
             name: parse_rational(raw_params[name]) if name in raw_params else None
@@ -95,9 +101,9 @@ def instance_from_doc(doc: dict) -> GadgetInstance:
         },
     )
     pts = []
-    for entry in _expect(doc["points"], list, "points"):
+    for i, entry in enumerate(_expect(_required(doc, "points"), list, "points")):
         _expect(entry, dict, "point entry")
-        coords = _expect(entry["coords"], list, "coords")
+        coords = _expect(_required(entry, "coords", f"points[{i}]."), list, "coords")
         if len(coords) != dim:
             raise ValueError("coords length does not match dim")
         for c in coords:
@@ -118,8 +124,8 @@ def instance_from_doc(doc: dict) -> GadgetInstance:
     return GadgetInstance(
         params=params,
         points=PointSet(dim, tuple(pts)),
-        problem=doc["problem"],
-        expected_positive=_value_from_json(doc["expected_positive"]),
+        problem=_required(doc, "problem"),
+        expected_positive=_value_from_json(_required(doc, "expected_positive")),
         expected_negative=(
             parse_rational(expected_negative) if expected_negative is not None else None
         ),

@@ -65,16 +65,17 @@ independent of traversal order.
 
 Determinism: among all optimal candidates the solver reports the one with
 the lexicographically smallest witness key (lower ranks, then upper ranks,
-then the side: excess before deficit on a full tie).  Parallel runs
-partition the first dimension's candidates, solve partitions
-independently, and merge with the same comparison, so value, witness and
-side are identical for any worker count.  `candidates_evaluated` is too
-for star and box discrepancy, where it is the grid size in closed form;
-for the empty and majority scans it counts scored leaves, which depend on
-the partition.  Partitions never outnumber the CPUs, nor, for the
-continuous box scans, the first-dimension open intervals.  They run in a
-forked pool only above a measured crossover in `grid_cells`, and
-in-process below it, with the same report either way.
+then the side: excess before deficit on a full tie).  Below a measured
+crossover in `grid_cells`, or where no pool can be forked, a solve is one
+scan in this process, so its report is the 1-worker report for any worker
+count.  Above it, a forked pool partitions the first dimension's
+candidates, solves the partitions independently, and merges them with the
+same comparison, so value, witness and side are still identical.
+`candidates_evaluated` is too for star and box discrepancy, where it is
+the grid size in closed form; for pooled empty and majority scans it
+counts scored leaves, which depend on the partition.  Partitions never
+outnumber the CPUs, nor, for the continuous box scans, the first-dimension
+open intervals.
 """
 
 from __future__ import annotations
@@ -168,11 +169,6 @@ def _require_nonempty(ps: PointSet) -> None:
         raise ValueError("empty point set")
 
 
-def _require_unit_cube(ps: PointSet) -> None:
-    if not ps.in_unit_cube():
-        raise ValueError("coordinates outside [0,1]")
-
-
 def _merge(results):
     best = None
     cands = 0
@@ -205,8 +201,9 @@ def grid_cells(ps: PointSet, anchored: bool, colors=()) -> int:
 
 def _run_scan(scan, args, workers: int, mode: str, *grid):
     """`scan` over `workers` partitions of its first dimension, at most the
-    CPU count: in a forked pool above the crossover of `grid_cells(*grid)`
-    for `mode`, else, or where no pool can be forked, in this process."""
+    CPU count, in a forked pool above the crossover of `grid_cells(*grid)`
+    for `mode`; else, or where no pool can be forked, as one partition in
+    this process."""
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and grid_cells(*grid) > _FORK_CELLS[mode]:
         try:
@@ -219,7 +216,7 @@ def _run_scan(scan, args, workers: int, mode: str, *grid):
                 return [f.result() for f in futures]
         except (OSError, ValueError):
             pass
-    return [scan(*args, p, workers) for p in range(workers)]
+    return [scan(*args, 0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +323,9 @@ def _scan_open(pts, ints, zero, weight, seed, part, nparts):
     B = W = `weight`), or, with `weight` None, the largest open box with no
     point inside; from `seed`, first dimension partitioned.
 
-    A point is ranks + (weight,), pre-multiplied by P for the deficit, and
-    lies inside when lo < rank < hi in every dimension; volumes carry the
-    factor W (1 for an empty box).  Faces are every
+    A point is ranks + (weight * P,), of which an empty box reads only
+    whether it is 0, and lies inside when lo < rank < hi in every dimension;
+    volumes carry the factor W (1 for an empty box).  Faces are every
     grid interval with lo < hi (lo at the `zero` ranks when anchored),
     longest first, ties in (lo, hi) order, so a residual volume strictly
     below the incumbent ends the loop.  Once no point survives, the only
@@ -409,70 +406,56 @@ def _scan_disc(pts, ints, zero, weight, part, nparts):
 # Public solvers.
 
 
-def _solve_boxes(ps: PointSet, anchored: bool, weight, workers: int):
-    """Run the box scans; returns (value, lower, upper, side, candidates).
-
-    `weight` None asks for the largest empty open box (side is None then).
-    Anchored callers read only upper."""
+def _solve_boxes(ps: PointSet, anchored: bool, empty: bool, workers: int):
+    """Solve one continuous box problem and report it: the largest empty
+    open box when `empty`, else the discrepancy; the witness is open unless
+    the side is excess."""
+    t0 = perf_counter()
+    if not ps.in_unit_cube():
+        raise ValueError("coordinates outside [0,1]")
     values = critical_grid(ps, with_zero=not anchored, with_one=True).values
     ints, scale = _scaled(values)
     zero = (-1,) * ps.dim if anchored else None
     # No more partitions than first-dimension open intervals.
     r = len(values[0])
     workers = min(workers, r if anchored else r * (r - 1) // 2)
-    ranks = _rank_points(ps, values)
-    if weight is None:
-        pts = [rk + (p.weight,) for rk, p in zip(ranks, ps.points)]
+    pts = [rk + (p.weight * scale,) for rk, p in zip(_rank_points(ps, values), ps.points)]
+    weight = 1 if empty else ps.total_weight
+    if empty:
         runs = _run_scan(_scan_open, (pts, ints, zero, None, None), workers, "empty", ps, anchored)
-        (num, key), cands = _merge(runs)
-        return Fraction(num, scale), *_faces(values, key), None, cands
-    pts = [rk + (p.weight * scale,) for rk, p in zip(ranks, ps.points)]
-    runs = _run_scan(_scan_disc, (pts, ints, zero, weight), workers, "disc", ps, anchored)
-    (num, key), _ = _merge(runs)
-    side = "deficit" if key[-1] else "excess"
-    return Fraction(num, scale * weight), *_faces(values, key), side, grid_cells(ps, anchored)
+    else:
+        runs = _run_scan(_scan_disc, (pts, ints, zero, weight), workers, "disc", ps, anchored)
+    (num, key), cands = _merge(runs)
+    value = Fraction(num, scale * weight)
+    lower, upper = _faces(values, key)
+    excess = not empty and not key[-1]
+    witness = AnchoredBox(upper, excess) if anchored else Box(lower, upper, excess)
+    if empty:
+        return EmptyBoxReport(value, witness, cands, perf_counter() - t0)
+    side = "excess" if excess else "deficit"
+    return DiscrepancyReport(value, witness, side, grid_cells(ps, anchored), perf_counter() - t0)
 
 
 def solve_star_discrepancy(ps: PointSet, workers: int = 1) -> DiscrepancyReport:
     """Largest |vol - count/W| over anchored boxes inside the unit cube."""
-    t0 = perf_counter()
     _require_nonempty(ps)
-    _require_unit_cube(ps)
-    value, _, upper, side, cands = _solve_boxes(ps, True, ps.total_weight, workers)
-    witness = AnchoredBox(upper, closed=(side == "excess"))
-    return DiscrepancyReport(value, witness, side, cands, perf_counter() - t0)
+    return _solve_boxes(ps, True, False, workers)
 
 
 def solve_box_discrepancy(ps: PointSet, workers: int = 1) -> DiscrepancyReport:
     """Largest |vol - count/W| over all axis-parallel boxes in the cube."""
-    t0 = perf_counter()
     _require_nonempty(ps)
-    _require_unit_cube(ps)
-    value, lower, upper, side, cands = _solve_boxes(ps, False, ps.total_weight, workers)
-    witness = Box(lower, upper, closed=(side == "excess"))
-    return DiscrepancyReport(value, witness, side, cands, perf_counter() - t0)
+    return _solve_boxes(ps, False, False, workers)
 
 
 def solve_max_empty_star(ps: PointSet, workers: int = 1) -> EmptyBoxReport:
     """Largest open anchored box containing no point; empty input gives 1."""
-    t0 = perf_counter()
-    _require_unit_cube(ps)
-    if not ps.points:
-        witness = AnchoredBox((ONE,) * ps.dim, closed=False)
-        return EmptyBoxReport(Fraction(1), witness, 1, perf_counter() - t0)
-    volume, _, upper, _, cands = _solve_boxes(ps, True, None, workers)
-    return EmptyBoxReport(volume, AnchoredBox(upper, closed=False), cands, perf_counter() - t0)
+    return _solve_boxes(ps, True, True, workers)
 
 
 def solve_max_empty_box(ps: PointSet, workers: int = 1) -> EmptyBoxReport:
     """Largest open box inside the unit cube containing no point."""
-    t0 = perf_counter()
-    _require_unit_cube(ps)
-    if not ps.points:
-        witness = Box((ZERO,) * ps.dim, (ONE,) * ps.dim, closed=False)
-        return EmptyBoxReport(Fraction(1), witness, 1, perf_counter() - t0)
-    volume, lower, upper, _, cands = _solve_boxes(ps, False, None, workers)
-    return EmptyBoxReport(volume, Box(lower, upper, closed=False), cands, perf_counter() - t0)
+    return _solve_boxes(ps, False, True, workers)
 
 
 def _solve_majority(ps, values, major, penalty, zero, init_best, workers):

@@ -249,6 +249,17 @@ def test_verify_empty_ranges_accept_no_instance_below_the_bound(tmp_path, capsys
         assert out.startswith("match:") and "expected=(le, " in out, out
 
 
+def _solve_error(tmp_path, doc, capsys):
+    """stderr of `solve` on the instance `doc`, which must exit 2."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["solve", str(path)]) == 2, doc
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    return err
+
+
 def test_malformed_params_and_in_s_exit_two(k3_file, tmp_path, capsys):
     good = tmp_path / "net.json"
     cli.main(["gadget", "--type", "net-box", "--graph", k3_file, "-k", "2", "-o", str(good)])
@@ -256,12 +267,48 @@ def test_malformed_params_and_in_s_exit_two(k3_file, tmp_path, capsys):
     bad_k["params"]["k"] = "x"
     bad_in_s = json.loads(good.read_text())
     bad_in_s["points"][0]["in_S"] = "yes"
-    capsys.readouterr()
     for content in (bad_k, bad_in_s):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(content))
-        assert cli.main(["solve", str(path)]) == 2, content
-        assert capsys.readouterr().err.startswith("error: ")
+        _solve_error(tmp_path, content, capsys)
+    for kind in ("net-box", "net-halfspace"):
+        cli.main(["gadget", "--type", kind, "--graph", k3_file, "-k", "2", "-o", str(good)])
+        no_eps = json.loads(good.read_text())
+        del no_eps["params"]["eps"]
+        assert "eps" in _solve_error(tmp_path, no_eps, capsys), kind
+
+
+def test_non_integer_halfspace_threshold_exits_two(k3_file, tmp_path, capsys):
+    good = tmp_path / "hs.json"
+    cli.main(["gadget", "--type", "halfspace", "--graph", k3_file, "-k", "2", "-o", str(good)])
+    for threshold in ("5/2", "-3/2"):
+        doc = json.loads(good.read_text())
+        doc["expected_positive"] = threshold
+        err = _solve_error(tmp_path, doc, capsys)
+        assert "integer" in err and threshold in err, err
+
+
+def test_colored_points_of_uncolored_problems_exit_two(edge_file, tmp_path, capsys):
+    for kind in ("star-disc", "box-disc", "empty-star", "empty-box"):
+        good = tmp_path / f"{kind}.json"
+        cli.main(["gadget", "--type", kind, "--graph", edge_file, "-k", "2", "-o", str(good)])
+        doc = json.loads(good.read_text())
+        doc["points"][0]["color"] = "red"
+        assert "uncolored" in _solve_error(tmp_path, doc, capsys), kind
+
+
+def test_missing_keys_are_named(k3_file, tmp_path, capsys):
+    good = tmp_path / "hs.json"
+    cli.main(["gadget", "--type", "halfspace", "--graph", k3_file, "-k", "2", "-o", str(good)])
+    top = ("dim", "params", "points", "problem", "expected_positive")
+    cases = [((), key, key) for key in top]
+    cases += [(("params",), "N", "params.N"), (("points", 0), "coords", "points[0].coords")]
+    for where, key, name in cases:
+        doc = json.loads(good.read_text())
+        node = doc
+        for step in where:
+            node = node[step]
+        del node[key]
+        err = _solve_error(tmp_path, doc, capsys)
+        assert f"missing required key '{name}'" in err, err
 
 
 def test_every_gadget_type_has_a_solve_step(k3_file, tmp_path, capsys):

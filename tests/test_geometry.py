@@ -53,9 +53,12 @@ def test_critical_grid_collapses_duplicates():
     assert grid.values[1] == (F(1, 4), F(3, 4))
 
 
-def test_critical_grid_empty_set_errors():
-    with pytest.raises(ValueError, match="empty point set"):
-        critical_grid(PointSet(2, ()))
+def test_critical_grid_of_an_empty_set_is_its_walls():
+    empty = PointSet(2, ())
+    assert critical_grid(empty).values == ((), ())
+    assert critical_grid(empty, with_zero=True).values == ((F(0),), (F(0),))
+    assert critical_grid(empty, with_one=True).values == ((F(1),), (F(1),))
+    assert critical_grid(empty, with_zero=True, with_one=True).values == ((F(0), F(1)),) * 2
 
 
 def test_critical_grid_on_hyperbolic_scaffold():

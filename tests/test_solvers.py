@@ -128,6 +128,19 @@ def test_empty_box_origin_point_does_not_block():
     assert solve_max_empty_box(ps).volume == 1
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_empty_ranges_of_an_empty_set_are_the_whole_cube(d, workers):
+    star = solve_max_empty_star(PointSet(d, ()), workers=workers)
+    assert star.volume == 1
+    assert star.witness == AnchoredBox((F(1),) * d, closed=False)
+    assert star.candidates_evaluated == 1
+    box = solve_max_empty_box(PointSet(d, ()), workers=workers)
+    assert box.volume == 1
+    assert box.witness == Box((F(0),) * d, (F(1),) * d, closed=False)
+    assert box.candidates_evaluated == 1
+
+
 # ---------------------------------------------------------------------------
 # Bichromatic box
 
@@ -669,7 +682,7 @@ def test_worker_pool_is_capped(monkeypatch):
     assert _InlinePool.sizes == [4, 4, 2, 3]
 
 
-def test_partitions_run_in_process_below_the_crossover(monkeypatch):
+def test_worker_counts_keep_the_one_worker_report(monkeypatch):
     import concurrent.futures
     import multiprocessing
     import os
@@ -691,15 +704,26 @@ def test_partitions_run_in_process_below_the_crossover(monkeypatch):
     )
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
-    def reports():
-        reps = [fn(ps, workers=w) for ps in sets for fn in solves for w in (2, 8)]
+    def reports(workers):
+        reps = [fn(ps, workers=workers) for ps in sets for fn in solves]
         return [{k: v for k, v in vars(r).items() if k != "elapsed"} for r in reps]
 
+    one = reports(1)
     with monkeypatch.context() as m:
         m.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        in_process = reports()
+        # Below the crossover a solve is one scan, whatever the worker count.
+        assert reports(2) == one
+        assert reports(8) == one
     monkeypatch.setattr(solvers, "_FORK_CELLS", dict.fromkeys(solvers._FORK_CELLS, 0))
-    assert reports() == in_process
+    # Pooled partitions keep the optimum, its witness and its side; their
+    # scored-leaf counts depend on the partition, except for the closed-form
+    # counts of star and box discrepancy.
+    kept = ("value", "volume", "witness", "side", "feasible")
+    for workers in (2, 8):
+        for i, (got, want) in enumerate(zip(reports(workers), one)):
+            assert {k: got[k] for k in kept if k in got} == {k: want[k] for k in kept if k in want}
+            if solves[i % len(solves)] in (solve_star_discrepancy, solve_box_discrepancy):
+                assert got["candidates_evaluated"] == want["candidates_evaluated"]
     assert multiprocessing.active_children() == []
 
 
