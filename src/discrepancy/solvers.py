@@ -50,10 +50,10 @@ of discrepancy with (A, B) = (P, W), bichromatic and red-blue with B = 0.
 `_scan_open` scores B * vol - A * (weight inside), or finds the largest
 box with no point inside, over every grid interval longest first: the
 deficit side and the empty problems.  A discrepancy partition runs the
-closed pass, then the open pass seeded with its best.  Both kernels
-filter the point list one dimension at a time and sweep the last one:
-running weight totals by rank of the surviving points, built once per
-node in O(n + R) for R ranks, score each last-dimension interval in O(1).
+closed pass, then the open pass seeded with its best.  Both kernels hold
+the surviving points as an int bitmask: a child is one AND with a rank-slab
+mask built once per scan, and a weight total is one popcount per distinct
+weight, so no node copies or walks a point list.
 Coordinates are replaced by per-dimension ranks up front, and dimension j
 is scaled by the lcm D_j of its denominators, so volumes are integers
 over P = prod(D_j), discrepancy values integers over W * P, and
@@ -85,6 +85,7 @@ from fractions import Fraction
 import os
 from itertools import accumulate, combinations
 from math import ceil, comb, lcm, prod
+from operator import or_
 from time import perf_counter
 from typing import Sequence, Union
 
@@ -221,10 +222,10 @@ def _run_scan(scan, args, workers: int, mode: str, *grid):
 
 # ---------------------------------------------------------------------------
 # The two box scans, one per closure.  Both walk per-dimension rank pairs in
-# odometer order, filter the point list one dimension at a time, sweep the
-# last dimension with `_prefix`, prune only on a strict `<`, and key a box
-# by lo ranks + hi ranks + side.  Points are flat integer tuples of ranks
-# followed by weight columns.
+# odometer order, hold the surviving points as a bitmask (bit i is pts[i])
+# narrowed by `_below` slabs and totalled by `_groups`, prune only on a
+# strict `<`, and key a box by lo ranks + hi ranks + side.  Points are flat
+# integer tuples of ranks followed by weight columns.
 
 
 def _scaled(values):
@@ -239,16 +240,31 @@ def _scaled(values):
     return ints, scale
 
 
-def _prefix(pts, j, col, size):
-    """Running totals of p[col] by rank in dimension j, ranks below `size`:
-    acc[r] sums the points of rank < r, and acc[-1] = 0.  So the closed rank
-    interval [a, b] holds acc[b + 1] - acc[a], also for the anchored a = -1,
-    and the open interval (a, b) holds acc[b] - acc[a + 1] when a < b.
-    Built in O(n + size), read in O(1) per interval."""
+def _below(ranks, size):
+    """Masks of the points of rank < r for r = 0..size, bit i for ranks[i],
+    then a trailing 0 so that rank -1 reads as empty.  So the closed rank
+    interval [a, b] holds below[b + 1] ^ below[a], also for the anchored
+    a = -1, and the open interval (a, b) holds below[b] ^ below[a + 1]."""
     acc = [0] * (size + 1)
-    for p in pts:
-        acc[p[j] + 1] += p[col]
-    return list(accumulate(acc)) + [0]
+    for i, r in enumerate(ranks):
+        acc[r + 1] |= 1 << i
+    return list(accumulate(acc, or_)) + [0]
+
+
+def _groups(pts, col, sign):
+    """The entries of column `col` with the sign of `sign` as a (value, mask)
+    per distinct value, the most common first, or [(0, 0)] if none; a mask
+    m then totals them as `_total(m, groups)`.  The kernels inline the first
+    group, which is all there is when the points share one weight."""
+    masks: dict = {}
+    for i, p in enumerate(pts):
+        if p[col] * sign > 0:
+            masks[p[col]] = masks.get(p[col], 0) | 1 << i
+    return sorted(masks.items(), key=lambda vg: -vg[1].bit_count()) or [(0, 0)]
+
+
+def _total(mask, groups):
+    return sum(v * (mask & g).bit_count() for v, g in groups)
 
 
 def _scan_closed(pts, ints, zero, weight, seed, part, nparts):
@@ -257,15 +273,16 @@ def _scan_closed(pts, ints, zero, weight, seed, part, nparts):
 
     A point is inside when lo <= rank <= hi in every dimension; anchored
     boxes keep their lower faces at the `zero` ranks.  With B = `weight` = 0
-    (bichromatic and red-blue) a point is ranks + (bound weight, value) and
-    `inside` sums the value column.  With B = W (the excess side of
-    discrepancy, values integers over W * P) a point is ranks + (A * weight,),
-    one column for both.  Faces are made per node from the ranks of the
-    surviving points of positive bound weight, plus the 0 wall as a lower
-    face when B > 0 (see the module docstring).  A pair is skipped when its
-    bound weight less B times the least volume it can complete to is
-    strictly below the incumbent.  Each scored leaf is a candidate.
-    Returns ((value, key), candidates), key = lo + hi, + (0,) when B > 0.
+    (bichromatic and red-blue) a point is ranks + (bound weight, value),
+    and `inside` is the bound total plus the negative values, as a positive
+    value is the bound weight.  With B = W (the excess side of discrepancy,
+    values integers over W * P) a point is ranks + (A * weight,), one column
+    for both.  Faces are made per node from the ranks of the surviving
+    points of positive bound weight, plus the 0 wall as a lower face when
+    B > 0 (see the module docstring).  A pair is skipped when its bound
+    weight less B times the least volume it can complete to is strictly
+    below the incumbent.  Each scored leaf is a candidate.  Returns
+    ((value, key), candidates), key = lo + hi, + (0,) when B > 0.
     """
     d = len(ints)
     side = (0,) if weight else ()
@@ -274,13 +291,19 @@ def _scan_closed(pts, ints, zero, weight, seed, part, nparts):
     cut = [weight] * (d + 1)
     for j in range(d - 1, -1, -1):
         cut[j] = cut[j + 1] * (ints[j][0] if zero else 0)
+    below = [_below([p[j] for p in pts], len(x) - 1) for j, x in enumerate(ints)]
+    # Per dimension and rank, the points there of positive bound weight.
+    pos = sum(1 << i for i, p in enumerate(pts) if p[d])
+    at = [[(bel[r + 1] ^ bel[r]) & pos for r in range(len(bel) - 2)] for bel in below]
+    (v, g), *more = _groups(pts, d, 1)
+    (nv, ng), *nmore = _groups(pts, -1, -1)
     lo: list = [None] * d
     hi: list = [None] * d
     best, cands = seed, 0
 
     def rec(j, vol, cur):
         nonlocal best, cands
-        ranks = sorted({p[j] for p in cur if p[d]})
+        ranks = [r for r, m in enumerate(at[j]) if m & cur]
         if zero is not None:
             pairs = [(zero[j], b) for b in ranks if b >= zero[j]]
         else:
@@ -289,14 +312,14 @@ def _scan_closed(pts, ints, zero, weight, seed, part, nparts):
                 pairs[:0] = [(0, b) for b in ranks]
         if j == 0:
             pairs = pairs[part::nparts]
-        x, c = ints[j], cut[j + 1]
-        bound = _prefix(cur, j, d, len(x) - 1)
+        x, c, bel = ints[j], cut[j + 1], below[j]
         last = j == d - 1
-        if last and not weight:
-            value = _prefix(cur, j, -1, len(x) - 1)
         nvol = vol
         for a, b in pairs:
-            held = bound[b + 1] - bound[a]
+            inner = cur & (bel[b + 1] ^ bel[a])
+            held = v * (inner & g).bit_count()
+            if more:
+                held += _total(inner, more)
             if weight:
                 nvol = vol * (x[b] - x[a])
                 held -= c * nvol
@@ -304,17 +327,19 @@ def _scan_closed(pts, ints, zero, weight, seed, part, nparts):
                 continue
             if not last:
                 lo[j], hi[j] = a, b
-                rec(j + 1, nvol, [p for p in cur if a <= p[j] <= b])
+                rec(j + 1, nvol, inner)
                 continue
             cands += 1
-            val = held if weight else value[b + 1] - value[a]
+            val = held + nv * (inner & ng).bit_count()
+            if nmore:
+                val += _total(inner, nmore)
             if best is None or val >= best[0]:
                 lo[j], hi[j] = a, b
                 key = tuple(lo) + tuple(hi) + side
                 if best is None or val > best[0] or key < best[1]:
                     best = (val, key)
 
-    rec(0, 1, pts)
+    rec(0, 1, (1 << len(pts)) - 1)
     return best, cands
 
 
@@ -323,27 +348,27 @@ def _scan_open(pts, ints, zero, weight, seed, part, nparts):
     B = W = `weight`), or, with `weight` None, the largest open box with no
     point inside; from `seed`, first dimension partitioned.
 
-    A point is ranks + (weight * P,), of which an empty box reads only
-    whether it is 0, and lies inside when lo < rank < hi in every dimension;
-    volumes carry the factor W (1 for an empty box).  Faces are every
-    grid interval with lo < hi (lo at the `zero` ranks when anchored),
-    longest first, ties in (lo, hi) order, so a residual volume strictly
-    below the incumbent ends the loop.  Once no point survives, the only
-    completion scored is the longest one, or the smallest key when the
-    volume is already 0.  An empty box skips every leaf with weight inside.
-    Each scored completion is a candidate.  Returns ((value, key),
+    A point is ranks + (weight * P,) and lies inside when lo < rank < hi in
+    every dimension; volumes carry the factor W (1 for an empty box).
+    Faces are every grid interval with lo < hi (lo at the `zero` ranks when
+    anchored), longest first, ties in (lo, hi) order, so a residual volume
+    strictly below the incumbent ends the loop.  Once no point survives,
+    the only completion scored is the longest one, or the smallest key when
+    the volume is already 0.  An empty box skips every leaf with a point
+    inside.  Each scored completion is a candidate.  Returns ((value, key),
     candidates), key = lo + hi + (1,) for the deficit.
     """
     d = len(ints)
     dims = []
     for j, x in enumerate(ints):
         r = len(x) - 1
+        bel = _below([p[j] for p in pts], r)
         los = [zero[j]] if zero else range(r)
-        ivs = [(a, b, x[b] - x[a]) for a in los for b in range(a + 1, r)]
+        ivs = [(a, b, x[b] - x[a], bel[b] ^ bel[a + 1]) for a in los for b in range(a + 1, r)]
         ivs.sort(key=lambda iv: -iv[2])
         dims.append(ivs)
     first = dims[0][part::nparts]
-    size = len(ints[-1]) - 1
+    (v, g), *more = _groups(pts, -1, 1)
     side = () if weight is None else (1,)
     maxtail = [1] * (d + 1)
     for j in range(d - 1, -1, -1):
@@ -369,29 +394,31 @@ def _scan_open(pts, ints, zero, weight, seed, part, nparts):
                 best = (vol, key)
             return
         if j == d - 1:
-            inside = _prefix(cur, j, -1, size)
-            for a, b, length in first if j == 0 else dims[j]:
+            for a, b, length, slab in first if j == 0 else dims[j]:
                 nvol = vol * length
                 if best is not None and nvol < best[0]:
                     break
-                if weight is None and inside[b] != inside[a + 1]:
+                inner = cur & slab
+                if weight is None and inner:
                     continue
                 cands += 1
-                val = nvol - (inside[b] - inside[a + 1])
+                val = nvol - v * (inner & g).bit_count()
+                if more:
+                    val -= _total(inner, more)
                 if best is None or val >= best[0]:
                     lo[j], hi[j] = a, b
                     key = tuple(lo) + tuple(hi) + side
                     if best is None or val > best[0] or key < best[1]:
                         best = (val, key)
             return
-        for a, b, length in first if j == 0 else dims[j]:
+        for a, b, length, slab in first if j == 0 else dims[j]:
             nvol = vol * length
             if best is not None and nvol * maxtail[j + 1] < best[0]:
                 break
             lo[j], hi[j] = a, b
-            rec(j + 1, nvol, [p for p in cur if a < p[j] < b])
+            rec(j + 1, nvol, cur & slab)
 
-    rec(0, weight or 1, pts)
+    rec(0, weight or 1, (1 << len(pts)) - 1)
     return best, cands
 
 

@@ -587,6 +587,56 @@ def _majority_optimum(ps, major, feasible, anchored=False):
     return best
 
 
+def test_huge_and_mixed_weights_match_the_oracle_and_recount():
+    """Weights from {1, 2, 3, 10**12, 7**40}: many distinct values per set,
+    so weighted totals need one term per value, and exact integers far
+    beyond 64 bits."""
+    rng = random.Random(67)
+    weights = (1, 2, 3, 10**12, 7**40)
+    continuous = {
+        "star-disc": solve_star_discrepancy,
+        "box-disc": solve_box_discrepancy,
+        "empty-star": solve_max_empty_star,
+        "empty-box": solve_max_empty_box,
+    }
+    for _ in range(30):
+        d = rng.randint(1, 3)
+        pts = [
+            WeightedPoint(
+                tuple(F(rng.randint(0, 4), 4) for _ in range(d)),
+                "blue" if idx == 0 else rng.choice(("red", "blue", None)),
+                rng.choice(weights),
+            )
+            for idx in range(rng.randint(1, 6))
+        ]
+        ps = PointSet(d, tuple(pts))
+        for problem, solve in continuous.items():
+            rep = solve(ps)
+            if problem.startswith("empty"):
+                assert rep.volume == naive_range_enumerate(ps, problem), (problem, ps)
+                assert count_in_box(ps, rep.witness).total == 0
+                assert box_volume(rep.witness) == rep.volume
+            else:
+                assert rep.value == naive_range_enumerate(ps, problem), (problem, ps)
+                _recheck_continuous(ps, rep)
+        rep = solve_bichromatic_box(ps)
+        assert rep.value == naive_range_enumerate(ps, "bichromatic-box"), ps
+        if rep.witness is not None:
+            tally = count_in_box(ps, rep.witness)
+            assert (tally.red, tally.blue) == (0, rep.value)
+        rep = solve_redblue_box_discrepancy(ps)
+        assert rep.value == naive_range_enumerate(ps, "redblue-disc"), ps
+        tally = count_in_box(ps, rep.witness)
+        diff = tally.blue - tally.red if rep.side == "excess" else tally.red - tally.blue
+        assert diff == rep.value
+        rep = solve_bichromatic_box(ps, anchored=True)
+        best = _majority_optimum(ps, "blue", True, anchored=True)
+        assert (rep.value, rep.witness) == ((best[0], best[2]) if best else (0, None)), ps
+        if rep.witness is not None:
+            tally = count_in_box(ps, rep.witness)
+            assert (tally.red, tally.blue) == (0, rep.value)
+
+
 def test_scored_leaf_counts_are_pinned_on_all_four_vertex_classes():
     """Summed `candidates_evaluated` at one worker: the empty and majority
     scans count scored leaves, so a scan that scores one leaf more or less
@@ -747,3 +797,30 @@ def test_grid_cells_counts_face_choices():
         assert grid_cells(ps, False) == free
         assert grid_cells(ps, False, ("blue",)) == blue_pairs
         assert grid_cells(ps, True, ("blue",)) == blue_uppers
+
+
+def test_rank_masks_select_each_slab_and_groups_total_it():
+    from discrepancy.solvers import _below, _groups, _total
+
+    rng = random.Random(71)
+    for _ in range(60):
+        size = rng.randint(1, 6)
+        ranks = [rng.randrange(size) for _ in range(rng.randint(0, 8))]  # duplicates
+        below = _below(ranks, size)
+        assert len(below) == size + 2 and below[-1] == 0
+
+        def mask(keep):
+            return sum(1 << i for i, r in enumerate(ranks) if keep(r))
+
+        for a in range(-1, size):  # a = -1: the anchored lower face
+            for b in range(a, size):
+                closed = mask(lambda r: a <= r <= b)
+                assert below[b + 1] ^ below[a] == closed, (ranks, a, b)
+                if a < b:
+                    assert below[b] ^ below[a + 1] == mask(lambda r: a < r < b), (ranks, a, b)
+        pts = [(r, rng.choice((0, 1, 3, -2, 7**40))) for r in ranks]
+        for sign in (1, -1):
+            groups = _groups(pts, -1, sign)
+            for m in range(1 << len(pts)) if len(pts) < 6 else [rng.getrandbits(len(pts))]:
+                want = sum(p[-1] for i, p in enumerate(pts) if m >> i & 1 and p[-1] * sign > 0)
+                assert _total(m, groups) == want
