@@ -23,16 +23,18 @@ Pivoting uses Bland's rule (smallest-index entering column, smallest basis
 index on ratio ties), which terminates without cycling; artificials never
 re-enter.  The pivot loop is integer-only and fraction-free (Bareiss 1968;
 Edmonds 1967).  Column i is first multiplied by the lcm of its row's
-denominators.  That substitutes y_i / L_i for y_i >= 0, which scales column
-i's reduced cost and all of its ratio-test ratios by positive factors, so
-the entering and leaving choices are Bland's on the rational system; the
-artificials are not scaled, so the multipliers pi are unchanged too.  The
-tableau, right-hand side and cost row are then kept as integers equal to
-det times their rational values, where det > 0 is the current basis
-determinant.  A pivot on entry p = T[r][c] leaves row r as it is, replaces
-every other entry by (p * T[i][j] - T[i][c] * T[r][j]) // det, a division
-that is exact because each entry is a minor of the bordered integer matrix,
-and sets det = p.  The ratio test cross-multiplies, and the witness is
+denominators, so an integer row is its own column; the half-space search
+passes integer rows it scaled once per search.  The scaling substitutes
+y_i / L_i for y_i >= 0, which scales column i's reduced cost and all of its
+ratio-test ratios by positive factors, so the entering and leaving choices
+are Bland's on the rational system; the artificials are not scaled, so the
+multipliers pi are unchanged too.  The tableau, right-hand side and cost
+row are then kept as integers equal to det times their rational values,
+where det > 0 is the current basis determinant.  A pivot on entry
+p = T[r][c] leaves row r as it is, replaces every other entry by
+(p * T[i][j] - T[i][c] * T[r][j]) // det, a division that is exact because
+each entry is a minor of the bordered integer matrix, and sets det = p.
+The ratio test cross-multiplies, and the witness is
 x_i = (cost[m + i] + det) / (cost[m + nvars] + det).  There is no tolerance
 anywhere.  The test suite's independent reference route is Fourier-Motzkin
 elimination in `oracles`, so the two decisions never share code.
@@ -42,26 +44,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 ZERO = Fraction(0)
+_RATIONAL = frozenset((int, Fraction))
 
-Constraint = tuple[Sequence[Fraction], Fraction]
+Constraint = tuple[Sequence[Union[int, Fraction]], Union[int, Fraction]]
 
 
 def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[list[Fraction]]:
-    """A point satisfying coeffs . x <= rhs for every constraint, or None."""
+    """A point satisfying coeffs . x <= rhs for every constraint, or None.
+    Entries must be int or Fraction; anything else raises ValueError."""
     # Column i of the alternative is (A_i, -b_i), scaled to integers.
     columns = []
     for coeffs, rhs in constraints:
-        entries = [Fraction(c) for c in coeffs]
-        if len(entries) != nvars:
+        entries = [*coeffs, rhs]
+        if len(entries) != nvars + 1:
             raise ValueError("dimension mismatch")
-        if not any(entries):
+        if not _RATIONAL.issuperset(map(type, entries)):
+            raise ValueError("entries must be int or Fraction")
+        if not any(entries[:nvars]):
             if rhs < 0:
                 return None
             continue
-        entries.append(-Fraction(rhs))
+        entries[nvars] = -rhs
         scale = lcm(*(e.denominator for e in entries))
         columns.append([e.numerator * (scale // e.denominator) for e in entries])
     if not columns:

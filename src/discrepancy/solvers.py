@@ -40,7 +40,8 @@ a witness range.  The completeness arguments, recorded here once:
   separation equivalent).  `separation.feasible_point` pivots on its
   Farkas alternative, i.e. it tests whether conv(subset) meets conv(reds)
   on d + 2 rows, and reads the separating (normal, offset) off the
-  phase-1 multipliers.  No hyperplane-enumeration shortcut is trusted.
+  phase-1 multipliers, given margin rows scaled to integers once per
+  search.  No hyperplane-enumeration shortcut is trusted.
   A search projecting more than MAX_HALFSPACE_SUBSETS subsets is refused.
 
 Box problems run on two scan kernels, one per closure (Gnewuch, Srivastav
@@ -538,6 +539,12 @@ def solve_redblue_box_discrepancy(ps: PointSet, workers: int = 1) -> Discrepancy
     return DiscrepancyReport(Fraction(best[0]), witness, side, cands, perf_counter() - t0)
 
 
+def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple:
+    """The row coeffs . x <= rhs in integers, scaled as feasible_point would."""
+    scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    return tuple(c.numerator * (scale // c.denominator) for c in coeffs), int(rhs * scale)
+
+
 def solve_bichromatic_halfspace(ps: PointSet, m: int) -> BichromaticReport:
     """Decide whether a closed half-space holds blue weight >= m and no red.
 
@@ -560,8 +567,9 @@ def solve_bichromatic_halfspace(ps: PointSet, m: int) -> BichromaticReport:
         elif p.color == RED:
             reds.add(p.coords)
     blues = sorted(blue_weight)
+    weights = [blue_weight[b] for b in blues]
     red_list = sorted(reds)
-    total_blue = sum(blue_weight.values())
+    total_blue = sum(weights)
     if total_blue < m:
         return BichromaticReport(0, None, False, 0, perf_counter() - t0)
     d = ps.dim
@@ -577,22 +585,22 @@ def solve_bichromatic_halfspace(ps: PointSet, m: int) -> BichromaticReport:
             f"half-space search would decide up to {projected} blue subsets, "
             f"more than the limit of {MAX_HALFSPACE_SUBSETS}"
         )
-    red_rows = [(tuple(-x for x in r) + (ONE,), Fraction(-1)) for r in red_list]
+    blue_rows = [_integer_row(b + (-ONE,), ZERO) for b in blues]
+    red_rows = [_integer_row(tuple(-x for x in r) + (ONE,), -ONE) for r in red_list]
     cands = 0
     for size in range(1, min(m, len(blues)) + 1):
         for combo in combinations(range(len(blues)), size):
-            if sum(blue_weight[blues[i]] for i in combo) < m:
+            if sum(weights[i] for i in combo) < m:
                 continue
             cands += 1
-            rows = [(blues[i] + (Fraction(-1),), ZERO) for i in combo] + red_rows
-            x = feasible_point(rows, d + 1)
+            x = feasible_point([blue_rows[i] for i in combo] + red_rows, d + 1)
             if x is None:
                 continue
             normal = tuple(x[:d])
             offset = x[d]
             value = sum(
                 w
-                for b, w in blue_weight.items()
+                for b, w in zip(blues, weights)
                 if sum(a * c for a, c in zip(normal, b)) <= offset
             )
             return BichromaticReport(

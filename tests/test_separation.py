@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -159,7 +160,7 @@ def _convex_combination(rng, points):
     )
 
 
-def test_planted_verdicts_at_gadget_shape():
+def _planted_systems():
     # d = 4-5 with 1-3 blues and 10-20 reds, as in the half-space gadgets'
     # subset systems.  Fourier-Motzkin is too slow at this size, so each
     # verdict is planted: either a strictly separating hyperplane exists by
@@ -188,8 +189,54 @@ def test_planted_verdicts_at_gadget_shape():
                 blues[0] = _convex_combination(rng, rng.sample(reds, rng.randint(2, 3)))
             expected = False
         assert len(reds) >= 10
+        yield blues, reds, d, expected
+
+
+def test_planted_verdicts_at_gadget_shape():
+    for blues, reds, d, expected in _planted_systems():
         rows = _margin_rows(blues, reds)
         x = feasible_point(rows, d + 1)
         assert (x is not None) == expected, (blues, reds)
         if x is not None:
             _check(rows, d + 1, x)
+
+
+def _prescaled(rows):
+    """Each row times the lcm of its denominators, as integers."""
+    out = []
+    for coeffs, rhs in rows:
+        scale = lcm(*(e.denominator for e in (*coeffs, rhs)))
+        out.append((tuple(int(c * scale) for c in coeffs), int(rhs * scale)))
+    return out
+
+
+def test_integer_prescaled_rows_give_the_same_verdict_and_witness():
+    # The half-space search hands feasible_point integer rows scaled once
+    # per search; on them it must build the very tableau it builds from
+    # the rational rows, so the verdict and the exact witness agree.
+    rng = random.Random(15)
+    systems = [_random_general_system(rng) for _ in range(200)]
+    systems += [_big_denominator_system(rng) for _ in range(100)]
+    systems += [(_margin_rows(b, r), d + 1) for b, r, d, _ in _planted_systems()]
+    systems += [
+        ([((F(0), F(0)), F(1, 3))], 2),
+        ([((F(0), F(0)), F(-1, 3))], 2),
+        ([((F(0),), F(0)), ((F(2, 3),), F(-1, 2))], 1),
+        ([((F(0), F(0)), F(-2, 7)), ((F(1, 2), F(1)), F(1))], 2),
+    ]
+    verdicts = set()
+    for rows, nvars in systems:
+        ints = _prescaled(rows)
+        assert all(type(e) is int for coeffs, rhs in ints for e in (*coeffs, rhs))
+        x = feasible_point(rows, nvars)
+        assert feasible_point(ints, nvars) == x, rows
+        verdicts.add(x is not None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", True, None])
+def test_entries_that_are_not_int_or_fraction_are_rejected(bad):
+    with pytest.raises(ValueError):
+        feasible_point([((F(1), bad), F(1))], 2)
+    with pytest.raises(ValueError):
+        feasible_point([((F(1), F(0)), F(1)), ((F(1), F(1)), bad)], 2)

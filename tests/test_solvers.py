@@ -388,6 +388,43 @@ def test_halfspace_agrees_with_subset_oracle():
         assert solve_bichromatic_halfspace(ps, m).feasible == oracle
 
 
+def test_weighted_halfspace_agrees_with_subset_oracle_and_recounts():
+    # Weights 1-3 and blues sharing coordinates, whose weights the solver
+    # merges: the reference is that some set of distinct blue coordinates
+    # of total weight >= m is separable from the reds.
+    from itertools import combinations
+
+    rng = random.Random(38)
+    verdicts = []
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        spots = [tuple(F(rng.randint(0, 4), 4) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+        pts = [WeightedPoint(rng.choice(spots), "blue", rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
+        pts += [
+            WeightedPoint(tuple(F(rng.randint(0, 4), 4) for _ in range(d)), "red", 1)
+            for _ in range(rng.randint(0, 4))
+        ]
+        ps = PointSet(d, tuple(pts))
+        m = rng.randint(1, 6)
+        weight = {}
+        for p in pts:
+            if p.color == "blue":
+                weight[p.coords] = weight.get(p.coords, 0) + p.weight
+        reds = [p.coords for p in pts if p.color == "red"]
+        oracle = any(
+            sum(weight[b] for b in sub) >= m and separable_subset(list(sub), reds)
+            for size in range(1, len(weight) + 1)
+            for sub in combinations(sorted(weight), size)
+        )
+        rep = solve_bichromatic_halfspace(ps, m)
+        assert rep.feasible == oracle, (pts, m)
+        if rep.feasible:
+            tally = halfspace_counts(ps, rep.witness).closed_side()
+            assert tally.red == 0 and tally.blue == rep.value >= m, (pts, m)
+        verdicts.append(rep.feasible)
+    assert 10 <= sum(verdicts) <= 50
+
+
 
 def test_halfspace_witness_is_pinned_on_clique_gadgets():
     # Bland's choices and the witness formula fix one exact witness, which
