@@ -37,10 +37,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def as_point(coords: Iterable[Union[int, Fraction]]) -> Point:
-    return tuple(Fraction(c) for c in coords)
-
-
 @dataclass(frozen=True)
 class WeightedPoint:
     coords: Point
@@ -92,7 +88,7 @@ def point_set(dim: int, items: Iterable[tuple]) -> PointSet:
     for item in items:
         coords, color, weight = item[0], item[1], item[2]
         in_s = item[3] if len(item) > 3 else False
-        pts.append(WeightedPoint(as_point(coords), color, weight, in_s))
+        pts.append(WeightedPoint(tuple(Fraction(c) for c in coords), color, weight, in_s))
     return PointSet(dim, tuple(pts))
 
 
@@ -159,10 +155,6 @@ class CriticalGrid:
     """
 
     values: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(v) for v in self.values)

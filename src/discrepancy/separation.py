@@ -1,8 +1,10 @@
 """Exact linear feasibility over the rationals.
 
 A single entry point decides systems {x : A x <= b} with free variables
-and, when feasible, returns a witness point.  It pivots not on the system
-but on its Farkas alternative {y >= 0 : A^T y = 0, b . y = -1}, which is
+and integer entries and, when feasible, returns a rational witness point;
+the caller scales rational rows to integers (the half-space search once
+per search, by `solvers._integer_row`).  It pivots not on the system but
+on its Farkas alternative {y >= 0 : A^T y = 0, b . y = -1}, which is
 feasible exactly when the system is not: a standard-form phase-1 with
 nvars + 1 equality rows (the b-row negated so every right-hand side is
 nonnegative), one column per constraint and one artificial per row.  For
@@ -21,15 +23,9 @@ reduced costs, kept in the cost row, are pi - 1.
 
 Pivoting uses Bland's rule (smallest-index entering column, smallest basis
 index on ratio ties), which terminates without cycling; artificials never
-re-enter.  The pivot loop is integer-only and fraction-free (Bareiss 1968;
-Edmonds 1967).  Column i is first multiplied by the lcm of its row's
-denominators, so an integer row is its own column; the half-space search
-passes integer rows it scaled once per search.  The scaling substitutes
-y_i / L_i for y_i >= 0, which scales column i's reduced cost and all of its
-ratio-test ratios by positive factors, so the entering and leaving choices
-are Bland's on the rational system; the artificials are not scaled, so the
-multipliers pi are unchanged too.  The tableau, right-hand side and cost
-row are then kept as integers equal to det times their rational values,
+re-enter.  The pivot loop is fraction-free (Bareiss 1968; Edmonds 1967):
+each integer row is its own column, and the tableau, right-hand side and
+cost row are kept as integers equal to det times their rational values,
 where det > 0 is the current basis determinant.  A pivot on entry
 p = T[r][c] leaves row r as it is, replaces every other entry by
 (p * T[i][j] - T[i][c] * T[r][j]) // det, a division that is exact because
@@ -43,33 +39,31 @@ elimination in `oracles`, so the two decisions never share code.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 ZERO = Fraction(0)
-_RATIONAL = frozenset((int, Fraction))
 
-Constraint = tuple[Sequence[Union[int, Fraction]], Union[int, Fraction]]
+Constraint = tuple[Sequence[int], int]
 
 
 def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[list[Fraction]]:
     """A point satisfying coeffs . x <= rhs for every constraint, or None.
-    Entries must be int or Fraction; anything else raises ValueError."""
-    # Column i of the alternative is (A_i, -b_i), scaled to integers.
+    Entries must be int; anything else, a Fraction or a bool included,
+    raises ValueError."""
+    # Column i of the alternative is (A_i, -b_i).
     columns = []
     for coeffs, rhs in constraints:
-        entries = [*coeffs, rhs]
-        if len(entries) != nvars + 1:
+        column = [*coeffs, rhs]
+        if len(column) != nvars + 1:
             raise ValueError("dimension mismatch")
-        if not _RATIONAL.issuperset(map(type, entries)):
-            raise ValueError("entries must be int or Fraction")
-        if not any(entries[:nvars]):
+        if set(map(type, column)) != {int}:
+            raise ValueError("entries must be int")
+        if not any(column[:nvars]):
             if rhs < 0:
                 return None
             continue
-        entries[nvars] = -rhs
-        scale = lcm(*(e.denominator for e in entries))
-        columns.append([e.numerator * (scale // e.denominator) for e in entries])
+        column[nvars] = -rhs
+        columns.append(column)
     if not columns:
         return [ZERO] * nvars
 

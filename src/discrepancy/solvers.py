@@ -40,8 +40,8 @@ a witness range.  The completeness arguments, recorded here once:
   separation equivalent).  `separation.feasible_point` pivots on its
   Farkas alternative, i.e. it tests whether conv(subset) meets conv(reds)
   on d + 2 rows, and reads the separating (normal, offset) off the
-  phase-1 multipliers, given margin rows scaled to integers once per
-  search.  No hyperplane-enumeration shortcut is trusted.
+  phase-1 multipliers, given margin rows that `_integer_row` scales to
+  integers once per search.  No hyperplane-enumeration shortcut is trusted.
   A search projecting more than MAX_HALFSPACE_SUBSETS subsets is refused.
 
 Box problems run on two scan kernels, one per closure (Gnewuch, Srivastav
@@ -58,11 +58,13 @@ weight, so no node copies or walks a point list.
 Coordinates are replaced by per-dimension ranks up front, and dimension j
 is scaled by the lcm D_j of its denominators, so volumes are integers
 over P = prod(D_j), discrepancy values integers over W * P, and
-`Fraction`s are built only for the report.  Pruning uses sound bounds
-(bound weight less the smallest completing volume for closed boxes, the
-largest completing volume for open ones) and always a strict inequality,
-so ties at the optimum are never discarded and the reported witness is
-independent of traversal order.
+`Fraction`s are built only for the report.  A point is its ranks plus one
+signed integer weight, and every anchored box has lower rank -1, the 0
+wall, in both kernels.  Pruning uses sound bounds (positive weight less
+the smallest completing volume for closed boxes, the largest completing
+volume for open ones) and always a strict inequality, so ties at the
+optimum are never discarded and the reported witness is independent of
+traversal order.
 
 Determinism: among all optimal candidates the solver reports the one with
 the lexicographically smallest witness key (lower ranks, then upper ranks,
@@ -159,9 +161,10 @@ def _rank_points(ps: PointSet, values):
 
 
 def _faces(values, key):
-    """(lower, upper) face coordinates of a rank key lo ranks + hi ranks."""
+    """(lower, upper) face coordinates of a rank key lo ranks + hi ranks,
+    the anchored lower rank -1 read as the 0 wall."""
     d = len(values)
-    lower = tuple(vs[i] for vs, i in zip(values, key[:d]))
+    lower = tuple(vs[i] if i >= 0 else ZERO for vs, i in zip(values, key[:d]))
     upper = tuple(vs[i] for vs, i in zip(values, key[d : 2 * d]))
     return lower, upper
 
@@ -225,8 +228,7 @@ def _run_scan(scan, args, workers: int, mode: str, *grid):
 # The two box scans, one per closure.  Both walk per-dimension rank pairs in
 # odometer order, hold the surviving points as a bitmask (bit i is pts[i])
 # narrowed by `_below` slabs and totalled by `_groups`, prune only on a
-# strict `<`, and key a box by lo ranks + hi ranks + side.  Points are flat
-# integer tuples of ranks followed by weight columns.
+# strict `<`, and key a box by lo ranks + hi ranks + side.
 
 
 def _scaled(values):
@@ -252,15 +254,15 @@ def _below(ranks, size):
     return list(accumulate(acc, or_)) + [0]
 
 
-def _groups(pts, col, sign):
-    """The entries of column `col` with the sign of `sign` as a (value, mask)
-    per distinct value, the most common first, or [(0, 0)] if none; a mask
-    m then totals them as `_total(m, groups)`.  The kernels inline the first
+def _groups(pts, sign):
+    """The weights with the sign of `sign` as a (weight, mask) per distinct
+    weight, the most common first, or [(0, 0)] if none; a mask m then
+    totals them as `_total(m, groups)`.  The kernels inline the first
     group, which is all there is when the points share one weight."""
     masks: dict = {}
     for i, p in enumerate(pts):
-        if p[col] * sign > 0:
-            masks[p[col]] = masks.get(p[col], 0) | 1 << i
+        if p[-1] * sign > 0:
+            masks[p[-1]] = masks.get(p[-1], 0) | 1 << i
     return sorted(masks.items(), key=lambda vg: -vg[1].bit_count()) or [(0, 0)]
 
 
@@ -268,36 +270,35 @@ def _total(mask, groups):
     return sum(v * (mask & g).bit_count() for v, g in groups)
 
 
-def _scan_closed(pts, ints, zero, weight, seed, part, nparts):
+def _scan_closed(pts, ints, anchored, weight, seed, part, nparts):
     """Best closed box by A * inside - B * vol, from `seed` (None or a
     (value, key) to beat), first dimension partitioned.
 
-    A point is inside when lo <= rank <= hi in every dimension; anchored
-    boxes keep their lower faces at the `zero` ranks.  With B = `weight` = 0
-    (bichromatic and red-blue) a point is ranks + (bound weight, value),
-    and `inside` is the bound total plus the negative values, as a positive
-    value is the bound weight.  With B = W (the excess side of discrepancy,
-    values integers over W * P) a point is ranks + (A * weight,), one column
-    for both.  Faces are made per node from the ranks of the surviving
-    points of positive bound weight, plus the 0 wall as a lower face when
-    B > 0 (see the module docstring).  A pair is skipped when its bound
-    weight less B times the least volume it can complete to is strictly
-    below the incumbent.  Each scored leaf is a candidate.  Returns
-    ((value, key), candidates), key = lo + hi, + (0,) when B > 0.
+    A point is ranks + (signed weight,) and lies inside when
+    lo <= rank <= hi in every dimension; `anchored` boxes keep their lower
+    faces at rank -1, the 0 wall.  With B = W (the excess side of
+    discrepancy, values integers over W * P) the weight is A * weight;
+    with B = `weight` = 0 (bichromatic and red-blue) it is the point's
+    score, negative for the other color.  Faces are made per node from the
+    ranks of the surviving points of positive weight, plus the 0 wall as a
+    lower face when B > 0 (see the module docstring).  A pair is skipped
+    when its positive weight less B times the least volume it can complete
+    to is strictly below the incumbent.  Each scored leaf is a candidate.
+    Returns ((value, key), candidates), key = lo + hi, + (0,) when B > 0.
     """
     d = len(ints)
     side = (0,) if weight else ()
     # B times the least volume below depth j: a free side can be 0 long,
-    # an anchored one (lower rank -1) no shorter than the smallest value.
+    # an anchored one no shorter than the smallest value.
     cut = [weight] * (d + 1)
     for j in range(d - 1, -1, -1):
-        cut[j] = cut[j + 1] * (ints[j][0] if zero else 0)
+        cut[j] = cut[j + 1] * (ints[j][0] if anchored else 0)
     below = [_below([p[j] for p in pts], len(x) - 1) for j, x in enumerate(ints)]
-    # Per dimension and rank, the points there of positive bound weight.
-    pos = sum(1 << i for i, p in enumerate(pts) if p[d])
+    # Per dimension and rank, the points there of positive weight.
+    pos = sum(1 << i for i, p in enumerate(pts) if p[d] > 0)
     at = [[(bel[r + 1] ^ bel[r]) & pos for r in range(len(bel) - 2)] for bel in below]
-    (v, g), *more = _groups(pts, d, 1)
-    (nv, ng), *nmore = _groups(pts, -1, -1)
+    (v, g), *more = _groups(pts, 1)
+    (nv, ng), *nmore = _groups(pts, -1)
     lo: list = [None] * d
     hi: list = [None] * d
     best, cands = seed, 0
@@ -305,8 +306,8 @@ def _scan_closed(pts, ints, zero, weight, seed, part, nparts):
     def rec(j, vol, cur):
         nonlocal best, cands
         ranks = [r for r, m in enumerate(at[j]) if m & cur]
-        if zero is not None:
-            pairs = [(zero[j], b) for b in ranks if b >= zero[j]]
+        if anchored:
+            pairs = [(-1, b) for b in ranks]
         else:
             pairs = [(a, b) for i, a in enumerate(ranks) for b in ranks[i:]]
             if weight and ranks[0]:
@@ -344,32 +345,33 @@ def _scan_closed(pts, ints, zero, weight, seed, part, nparts):
     return best, cands
 
 
-def _scan_open(pts, ints, zero, weight, seed, part, nparts):
+def _scan_open(pts, ints, anchored, weight, seed, part, nparts):
     """Best open box by W * vol - inside (the deficit side of discrepancy,
     B = W = `weight`), or, with `weight` None, the largest open box with no
     point inside; from `seed`, first dimension partitioned.
 
     A point is ranks + (weight * P,) and lies inside when lo < rank < hi in
     every dimension; volumes carry the factor W (1 for an empty box).
-    Faces are every grid interval with lo < hi (lo at the `zero` ranks when
-    anchored), longest first, ties in (lo, hi) order, so a residual volume
-    strictly below the incumbent ends the loop.  Once no point survives,
-    the only completion scored is the longest one, or the smallest key when
-    the volume is already 0.  An empty box skips every leaf with a point
-    inside.  Each scored completion is a candidate.  Returns ((value, key),
-    candidates), key = lo + hi + (1,) for the deficit.
+    Faces are every grid interval with lo < hi (lo at rank -1, the 0
+    wall, when `anchored`), longest first, ties in (lo, hi) order, so a
+    residual volume strictly below the incumbent ends the loop.  Once no
+    point survives, the only completion scored is the longest one, or the
+    smallest key when the volume is already 0.  An empty box skips every
+    leaf with a point inside.  Each scored completion is a candidate.
+    Returns ((value, key), candidates), key = lo + hi + (1,) for the
+    deficit.
     """
     d = len(ints)
     dims = []
     for j, x in enumerate(ints):
         r = len(x) - 1
         bel = _below([p[j] for p in pts], r)
-        los = [zero[j]] if zero else range(r)
+        los = [-1] if anchored else range(r)
         ivs = [(a, b, x[b] - x[a], bel[b] ^ bel[a + 1]) for a in los for b in range(a + 1, r)]
         ivs.sort(key=lambda iv: -iv[2])
         dims.append(ivs)
     first = dims[0][part::nparts]
-    (v, g), *more = _groups(pts, -1, 1)
+    (v, g), *more = _groups(pts, 1)
     side = () if weight is None else (1,)
     maxtail = [1] * (d + 1)
     for j in range(d - 1, -1, -1):
@@ -423,11 +425,11 @@ def _scan_open(pts, ints, zero, weight, seed, part, nparts):
     return best, cands
 
 
-def _scan_disc(pts, ints, zero, weight, part, nparts):
+def _scan_disc(pts, ints, anchored, weight, part, nparts):
     """Discrepancy over one partition: the excess pass over closed boxes,
     then the deficit pass over open boxes, seeded with the excess best."""
-    best, _ = _scan_closed(pts, ints, zero, weight, None, part, nparts)
-    return _scan_open(pts, ints, zero, weight, best, part, nparts)
+    best, _ = _scan_closed(pts, ints, anchored, weight, None, part, nparts)
+    return _scan_open(pts, ints, anchored, weight, best, part, nparts)
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +445,16 @@ def _solve_boxes(ps: PointSet, anchored: bool, empty: bool, workers: int):
         raise ValueError("coordinates outside [0,1]")
     values = critical_grid(ps, with_zero=not anchored, with_one=True).values
     ints, scale = _scaled(values)
-    zero = (-1,) * ps.dim if anchored else None
     # No more partitions than first-dimension open intervals.
     r = len(values[0])
     workers = min(workers, r if anchored else r * (r - 1) // 2)
     pts = [rk + (p.weight * scale,) for rk, p in zip(_rank_points(ps, values), ps.points)]
     weight = 1 if empty else ps.total_weight
     if empty:
-        runs = _run_scan(_scan_open, (pts, ints, zero, None, None), workers, "empty", ps, anchored)
+        args = (pts, ints, anchored, None, None)
+        runs = _run_scan(_scan_open, args, workers, "empty", ps, anchored)
     else:
-        runs = _run_scan(_scan_disc, (pts, ints, zero, weight), workers, "disc", ps, anchored)
+        runs = _run_scan(_scan_disc, (pts, ints, anchored, weight), workers, "disc", ps, anchored)
     (num, key), cands = _merge(runs)
     value = Fraction(num, scale * weight)
     lower, upper = _faces(values, key)
@@ -486,17 +488,17 @@ def solve_max_empty_box(ps: PointSet, workers: int = 1) -> EmptyBoxReport:
     return _solve_boxes(ps, False, True, workers)
 
 
-def _solve_majority(ps, values, major, penalty, zero, init_best, workers):
+def _solve_majority(ps, values, major, penalty, anchored, init_best, workers):
     """Run the majority scan: a `major` point scores +w, a point of the
     other color -penalty * w and an uncolored point 0."""
     score = {major: 1, RED if major == BLUE else BLUE: -penalty, None: 0}
     pts = [
-        ranks + (p.weight if p.color == major else 0, score[p.color] * p.weight)
+        ranks + (score[p.color] * p.weight,)
         for ranks, p in zip(_rank_points(ps, values), ps.points)
     ]
     # Volume does not count here, so every value may scale to 0.
-    args = (pts, [[0] * (len(vs) + 1) for vs in values], zero, 0, init_best)
-    grid = (ps, zero is not None, (major,))
+    args = (pts, [[0] * (len(vs) + 1) for vs in values], anchored, 0, init_best)
+    grid = (ps, anchored, (major,))
     return _merge(_run_scan(_scan_closed, args, workers, "majority", *grid))
 
 
@@ -507,14 +509,16 @@ def solve_bichromatic_box(
     t0 = perf_counter()
     if (blue := ps.color_weight(BLUE)) == 0:
         raise ValueError("no blue points")
-    values = critical_grid(ps, with_zero=anchored).values
-    zero = [vs.index(ZERO) for vs in values] if anchored else None
+    if anchored:
+        # A point with a negative coordinate lies in no box [0, u].
+        ps = PointSet(ps.dim, tuple(p for p in ps.points if min(p.coords) >= ZERO))
+    values = critical_grid(ps).values
     # A red point outweighs all blues, so only red-free boxes score >= 0.
-    (value, key), cands = _solve_majority(ps, values, BLUE, blue + 1, zero, None, workers)
-    if value < 0:
+    best, cands = _solve_majority(ps, values, BLUE, blue + 1, anchored, None, workers)
+    if best is None or best[0] < 0:
         return BichromaticReport(0, None, True, cands, perf_counter() - t0)
-    witness = Box(*_faces(values, key), closed=True)
-    return BichromaticReport(value, witness, True, cands, perf_counter() - t0)
+    witness = Box(*_faces(values, best[1]), closed=True)
+    return BichromaticReport(best[0], witness, True, cands, perf_counter() - t0)
 
 
 def solve_redblue_box_discrepancy(ps: PointSet, workers: int = 1) -> DiscrepancyReport:
@@ -526,8 +530,8 @@ def solve_redblue_box_discrepancy(ps: PointSet, workers: int = 1) -> Discrepancy
     t0 = perf_counter()
     _require_nonempty(ps)
     values = critical_grid(ps).values
-    blue_best, cands = _solve_majority(ps, values, BLUE, 1, None, None, workers)
-    best, c = _solve_majority(ps, values, RED, 1, None, blue_best, workers)
+    blue_best, cands = _solve_majority(ps, values, BLUE, 1, False, None, workers)
+    best, c = _solve_majority(ps, values, RED, 1, False, blue_best, workers)
     cands += c
     if best is None:
         # No colored points at all: every box balances at zero.
@@ -540,7 +544,14 @@ def solve_redblue_box_discrepancy(ps: PointSet, workers: int = 1) -> Discrepancy
 
 
 def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple:
-    """The row coeffs . x <= rhs in integers, scaled as feasible_point would."""
+    """The row coeffs . x <= rhs times the lcm L of its denominators, in the
+    integers that `feasible_point` takes.  This leaves the LP's choices and
+    witness unchanged: in the Farkas alternative it substitutes y_i / L for
+    the row's multiplier y_i >= 0, which scales column i's reduced cost and
+    all of its ratio-test ratios by positive factors, so the entering and
+    leaving choices are Bland's on the rational system; the artificials are
+    not scaled, so the multipliers pi, and with them the witness, are the
+    same too."""
     scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
     return tuple(c.numerator * (scale // c.denominator) for c in coeffs), int(rhs * scale)
 

@@ -15,29 +15,42 @@ def _check(rows, nvars, x):
         assert sum(a * b for a, b in zip(coeffs, x)) <= rhs
 
 
+def _scaled_rows(rows):
+    """Each row times the lcm of its denominators, as integers."""
+    out = []
+    for coeffs, rhs in rows:
+        scale = lcm(*(e.denominator for e in (*coeffs, rhs)))
+        out.append((tuple(int(c * scale) for c in coeffs), int(rhs * scale)))
+    return out
+
+
+def _solve(rows, nvars):
+    return feasible_point(_scaled_rows(rows), nvars)
+
+
 def test_simple_feasible_system():
     rows = [((F(1), F(0)), F(2)), ((F(-1), F(0)), F(0)), ((F(0), F(1)), F(1))]
-    x = feasible_point(rows, 2)
+    x = _solve(rows, 2)
     assert x is not None
     _check(rows, 2, x)
 
 
 def test_infeasible_system():
     rows = [((F(1),), F(0)), ((F(-1),), F(-1))]  # x <= 0 and x >= 1
-    assert feasible_point(rows, 1) is None
+    assert _solve(rows, 1) is None
 
 
 def test_negative_rhs_needs_artificials():
     rows = [((F(1), F(1)), F(-3)), ((F(-1), F(0)), F(5))]
-    x = feasible_point(rows, 2)
+    x = _solve(rows, 2)
     assert x is not None
     _check(rows, 2, x)
 
 
 def test_trivial_rows():
-    assert feasible_point([((F(0),), F(1))], 1) == [F(0)]
-    assert feasible_point([((F(0),), F(-1))], 1) is None
-    assert feasible_point([], 3) == [F(0)] * 3
+    assert _solve([((F(0),), F(1))], 1) == [F(0)]
+    assert _solve([((F(0),), F(-1))], 1) is None
+    assert _solve([], 3) == [F(0)] * 3
 
 
 def test_separation_system_margin_form():
@@ -47,7 +60,7 @@ def test_separation_system_margin_form():
         ((F(1), F(1), F(-1)), F(0)),
         ((F(-1, 2), F(-1, 2), F(1)), F(-1)),
     ]
-    assert feasible_point(rows, 3) is None
+    assert _solve(rows, 3) is None
 
 
 def test_agrees_with_fourier_motzkin_on_random_separations():
@@ -64,7 +77,7 @@ def test_agrees_with_fourier_motzkin_on_random_separations():
         ]
         rows = [(b + (F(-1),), F(0)) for b in blues]
         rows += [(tuple(-c for c in r) + (F(1),), F(-1)) for r in reds]
-        x = feasible_point(rows, d + 1)
+        x = _solve(rows, d + 1)
         assert (x is not None) == separable_subset(blues, reds)
         if x is not None:
             _check(rows, d + 1, x)
@@ -95,7 +108,7 @@ def test_agrees_with_fourier_motzkin_on_random_general_systems():
     verdicts = set()
     for _ in range(300):
         rows, nvars = _random_general_system(rng)
-        x = feasible_point(rows, nvars)
+        x = _solve(rows, nvars)
         assert (x is not None) == _fm_feasible(rows, nvars), rows
         if x is not None:
             assert len(x) == nvars
@@ -138,7 +151,7 @@ def test_agrees_with_fourier_motzkin_with_denominators_up_to_2_64():
     verdicts = []
     for _ in range(200):
         rows, nvars = _big_denominator_system(rng)
-        x = feasible_point(rows, nvars)
+        x = _solve(rows, nvars)
         assert (x is not None) == _fm_feasible(rows, nvars), rows
         if x is not None:
             assert len(x) == nvars
@@ -195,25 +208,16 @@ def _planted_systems():
 def test_planted_verdicts_at_gadget_shape():
     for blues, reds, d, expected in _planted_systems():
         rows = _margin_rows(blues, reds)
-        x = feasible_point(rows, d + 1)
+        x = _solve(rows, d + 1)
         assert (x is not None) == expected, (blues, reds)
         if x is not None:
             _check(rows, d + 1, x)
 
 
-def _prescaled(rows):
-    """Each row times the lcm of its denominators, as integers."""
-    out = []
-    for coeffs, rhs in rows:
-        scale = lcm(*(e.denominator for e in (*coeffs, rhs)))
-        out.append((tuple(int(c * scale) for c in coeffs), int(rhs * scale)))
-    return out
-
-
-def test_integer_prescaled_rows_give_the_same_verdict_and_witness():
-    # The half-space search hands feasible_point integer rows scaled once
-    # per search; on them it must build the very tableau it builds from
-    # the rational rows, so the verdict and the exact witness agree.
+def test_positive_row_multiples_leave_verdict_and_witness_unchanged():
+    # A positive multiple of a row scales its column of the Farkas
+    # alternative, which changes none of Bland's choices and no multiplier,
+    # so the verdict and the exact witness must not move.
     rng = random.Random(15)
     systems = [_random_general_system(rng) for _ in range(200)]
     systems += [_big_denominator_system(rng) for _ in range(100)]
@@ -226,17 +230,22 @@ def test_integer_prescaled_rows_give_the_same_verdict_and_witness():
     ]
     verdicts = set()
     for rows, nvars in systems:
-        ints = _prescaled(rows)
-        assert all(type(e) is int for coeffs, rhs in ints for e in (*coeffs, rhs))
-        x = feasible_point(rows, nvars)
-        assert feasible_point(ints, nvars) == x, rows
+        ints = _scaled_rows(rows)
+        x = feasible_point(ints, nvars)
+        for _ in range(3):
+            multiples = [rng.choice((1, 2, 3, rng.randint(1, 2**70))) for _ in ints]
+            scaled = [
+                (tuple(s * c for c in coeffs), s * rhs) for s, (coeffs, rhs) in zip(multiples, ints)
+            ]
+            assert feasible_point(scaled, nvars) == x, (rows, multiples)
         verdicts.add(x is not None)
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/2", True, None])
+# Only int entries are accepted: a Fraction row is the caller's to scale.
+@pytest.mark.parametrize("bad", [0.5, "1/2", True, None, F(1, 2), F(2)])
 def test_entries_that_are_not_int_or_fraction_are_rejected(bad):
     with pytest.raises(ValueError):
-        feasible_point([((F(1), bad), F(1))], 2)
+        feasible_point([((1, bad), 1)], 2)
     with pytest.raises(ValueError):
-        feasible_point([((F(1), F(0)), F(1)), ((F(1), F(1)), bad)], 2)
+        feasible_point([((1, 0), 1), ((1, 1), bad)], 2)

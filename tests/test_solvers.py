@@ -171,6 +171,35 @@ def test_bichromatic_anchored_variant():
     assert solve_bichromatic_box(ps2, anchored=True).value == 1
 
 
+def test_anchored_bichromatic_skips_points_with_a_negative_coordinate():
+    """Such a point lies in no box [0, u]; with no blue left the answer is 0."""
+    rep = solve_bichromatic_box(point_set(1, [((F(-1, 4),), "blue", 1)]), anchored=True)
+    assert (rep.value, rep.witness, rep.feasible) == (0, None, True)
+    rng = random.Random(16)
+    found = set()
+    for _ in range(150):
+        d, q = rng.randint(1, 3), rng.randint(1, 4)
+        pts = [
+            WeightedPoint(
+                tuple(F(rng.randint(-1, q), q) for _ in range(d)),
+                "blue" if idx == 0 else rng.choice(("red", "blue", None)),
+                rng.choice((1, 1, 2, 3)),
+            )
+            for idx in range(rng.randint(1, 7))
+        ]
+        ps = PointSet(d, tuple(pts))
+        rep = solve_bichromatic_box(ps, anchored=True)
+        best = _majority_optimum(ps, "blue", True, anchored=True)
+        assert (rep.value, rep.witness) == ((best[0], best[2]) if best else (0, None)), ps
+        assert rep.feasible
+        found.add(rep.witness is not None)
+        if rep.witness is not None:
+            tally = count_in_box(ps, rep.witness)
+            assert (tally.red, tally.blue) == (0, rep.value), ps
+            assert rep.witness.lower == (0,) * d
+    assert found == {True, False}
+
+
 def test_bichromatic_coincident_points_value_zero():
     ps = point_set(1, [((F(1, 2),), "blue", 1), ((F(1, 2),), "red", 1)])
     rep = solve_bichromatic_box(ps)
@@ -857,7 +886,7 @@ def test_rank_masks_select_each_slab_and_groups_total_it():
                     assert below[b] ^ below[a + 1] == mask(lambda r: a < r < b), (ranks, a, b)
         pts = [(r, rng.choice((0, 1, 3, -2, 7**40))) for r in ranks]
         for sign in (1, -1):
-            groups = _groups(pts, -1, sign)
+            groups = _groups(pts, sign)
             for m in range(1 << len(pts)) if len(pts) < 6 else [rng.getrandbits(len(pts))]:
                 want = sum(p[-1] for i, p in enumerate(pts) if m >> i & 1 and p[-1] * sign > 0)
                 assert _total(m, groups) == want
