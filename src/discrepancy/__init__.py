@@ -37,7 +37,7 @@ from .geometry import (
     halfspace_counts,
     point_set,
 )
-from .numerics import format_rational, parse_rational, rational_pow
+from .instances import format_rational, parse_rational
 from .solvers import (
     BichromaticReport,
     DiscrepancyReport,

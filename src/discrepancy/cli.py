@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -19,7 +18,7 @@ from time import perf_counter
 
 from . import gadgets, instances, oracles, solvers
 from .geometry import BLUE, RED, AnchoredBox, Box, HalfSpace, PointSet, WeightedPoint
-from .numerics import format_rational, parse_rational
+from .instances import format_rational, parse_rational
 
 # Gadget type -> builder(graph, k, mu, raw).  Each lambda looks its
 # `gadgets.build_*` function up when called, so patched attributes are seen.
@@ -138,44 +137,15 @@ def _expected_outcome(inst: gadgets.GadgetInstance, clique: bool):
         return ("eq", inst.expected_positive) if clique else ("le", inst.expected_negative)
     if problem == "halfspace-bichromatic":
         return ("feasible", clique)
-    if problem in ("net-halfspace", "net-box"):
-        return ("is_net", not clique)
-    raise ValueError(f"unknown problem: {problem}")
-
-
-def _recompute_params(inst: gadgets.GadgetInstance) -> list[str]:
-    """Cross-check the embedded params against the emitted points."""
-    problems = []
-    total = inst.points.total_weight
-    if total != inst.params.N:
-        problems.append(f"params.N={inst.params.N} but recomputed total weight {total}")
-    if inst.points.dim != 2 * inst.params.k:
-        problems.append(f"dim {inst.points.dim} != 2k = {2 * inst.params.k}")
-    mu, C, V = inst.params.mu, inst.params.C, inst.params.V
-    if mu is not None and C is not None:
-        if C * mu ** (inst.params.n - 1) != 1:
-            problems.append("C != 1/mu^(n-1)")
-        if V is not None and V != C ** inst.params.k:
-            problems.append("V != C^k")
-    if inst.problem == "redblue-disc":
-        origin_weight = sum(
-            p.weight for p in inst.points.points if all(c == 0 for c in p.coords)
-        )
-        if inst.expected_positive != origin_weight + inst.params.k:
-            problems.append(
-                f"expected_positive {inst.expected_positive} != origin weight "
-                f"{origin_weight} + k"
-            )
-    return problems
+    return ("is_net", not clique)
 
 
 def _verify(kind: str, graph: gadgets.Graph, k: int, workers: int, out) -> int:
     inst = _GADGETS[kind](graph, k, None, False)
     clique = oracles.has_clique(graph, k)
-    param_problems = _recompute_params(inst)
-    if param_problems:
-        for line in param_problems:
-            print(f"param mismatch: {line}", file=out)
+    total = inst.points.total_weight
+    if total != inst.params.N:
+        print(f"param mismatch: params.N={inst.params.N} but recomputed total weight {total}", file=out)
         return 1
     kind_, payload = _expected_outcome(inst, clique)
     got, _, witness, _ = _SOLVE[inst.problem](inst, workers)
@@ -212,7 +182,7 @@ def _random_point_set(rng: random.Random, d: int, n: int, colored: bool) -> Poin
         coords = tuple(Fraction(rng.randint(0, 64), 64) for _ in range(d))
         color = (BLUE if idx == 0 else rng.choice((RED, BLUE))) if colored else None
         pts.append(WeightedPoint(coords, color, 1))
-    return PointSet(d, pts and tuple(pts) or ())
+    return PointSet(d, tuple(pts))
 
 
 def _projected_candidates(problem: str, ps: PointSet) -> int:
@@ -279,14 +249,14 @@ def _make_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance")
     p_solve.add_argument("--problem", help="must match the instance's problem")
     p_solve.add_argument("--m", type=int, help="half-space blue-weight threshold")
-    p_solve.add_argument("--threads", type=int, default=None)
+    p_solve.add_argument("--threads", type=int, default=1)
     p_solve.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="graph -> gadget -> solver -> clique oracle")
     p_verify.add_argument("--type", required=True, choices=tuple(_GADGETS))
     p_verify.add_argument("--graph", required=True)
     p_verify.add_argument("-k", type=int, required=True)
-    p_verify.add_argument("--threads", type=int, default=None)
+    p_verify.add_argument("--threads", type=int, default=1)
 
     p_bench = sub.add_parser("bench", help="random-instance scaling rows to CSV")
     p_bench.add_argument("--problem", required=True, choices=tuple(_BOXES))
@@ -303,18 +273,9 @@ _PARSER = _make_parser()
 
 
 def _workers(args) -> int:
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        env = os.environ.get("DISCREPANCY_THREADS")
-        if not env:
-            return 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"DISCREPANCY_THREADS must be an integer, got {env!r}")
-    if threads < 1:
-        raise ValueError(f"worker count must be at least 1, got {threads}")
-    return threads
+    if args.threads < 1:
+        raise ValueError(f"worker count must be at least 1, got {args.threads}")
+    return args.threads
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,11 @@
 """File formats: JSON instances and plain-text graphs.
 
-Instance files carry every rational as the exact string "p/q" (decimal
-floats are rejected): the finely tuned constants like mu = 1 + 1/(2knN)
-do not survive rounding.  Writing is canonical (sorted keys, two-space
-indent, trailing newline) so a canonical file round-trips byte-identically
-through read + write.
+Instance files carry every rational as the exact string "p/q" ("p" when
+q == 1, sign on the numerator), and `gadget --mu` takes the same format.
+Decimal floats are rejected: the finely tuned constants like
+mu = 1 + 1/(2knN) do not survive rounding.  Writing is canonical (sorted
+keys, two-space indent, trailing newline) so a canonical file round-trips
+byte-identically through read + write.
 
 Graph files are "n m" on the first line followed by m lines "u v" with
 1-indexed vertices; '#' starts a comment line.
@@ -13,14 +14,37 @@ Graph files are "n m" on the first line followed by m lines "u v" with
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
 from .gadgets import GadgetInstance, GadgetParams, Graph
 from .geometry import PointSet, WeightedPoint
-from .numerics import format_rational, parse_rational
 
 _PARAM_RATIONALS = ("mu", "C", "V", "eps")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" or "p".  Decimal and exponent notation and a zero
+    denominator are rejected with ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational literal: {text!r}")
+    s = text.strip()
+    if not _RATIONAL_RE.match(s):
+        raise ValueError(f"not a rational literal: {text!r}")
+    if "/" in s:
+        num, den = (int(part) for part in s.split("/"))
+        if den == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(num, den)
+    return Fraction(int(s))
+
+
+def format_rational(value: Fraction) -> str:
+    """Canonical "p/q" form ("p" when the denominator is 1)."""
+    return str(value)
 
 
 def instance_to_doc(inst: GadgetInstance) -> dict:

@@ -60,7 +60,6 @@ from discrepancy.gadgets import (
     build_star_discrepancy_gadget,
     choose_mu,
 )
-from discrepancy.numerics import rational_pow
 from discrepancy.oracles import has_clique, naive_range_enumerate, separable_subset
 from conftest import graphs_up_to
 
@@ -166,7 +165,7 @@ def test_acceptance_03b_empty_star_sharp_values():
             want = inst.expected_positive
         else:
             w = min(_clique_number(g, k), k - 1)
-            want = rational_pow(C, w) * rational_pow(C / mu, k - w)
+            want = C ** w * (C / mu) ** (k - w)
         if volume != want:
             failures.append(f"{name} k={k}: volume {volume} != {want}")
         if not clique and volume > inst.expected_negative:
@@ -196,7 +195,7 @@ def test_acceptance_05_gap_parameter_bound():
         for n in range(2, 6):
             for N in range(4, 61):
                 t, mu = choose_mu(k, n, N)
-                if not rational_pow(mu, k * (n - 1)) < F(N, N - 1):
+                if not mu ** (k * (n - 1)) < F(N, N - 1):
                     failures.append(f"k={k} n={n} N={N}")
     _finish("05", "mu = 1 + 1/(2knN) satisfies mu^(k(n-1)) < N/(N-1)", failures, t0, 10)
 

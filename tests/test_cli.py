@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from fractions import Fraction
 from time import perf_counter
@@ -79,19 +80,6 @@ def test_solve_output_independent_of_threads(edge_file, tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_threads_env_override(edge_file, tmp_path, capsys, monkeypatch):
-    out = tmp_path / "sd.json"
-    cli.main(["gadget", "--type", "star-disc", "--graph", edge_file, "-k", "2", "-o", str(out)])
-    capsys.readouterr()
-    assert cli.main(["solve", str(out)]) == 0
-    base = capsys.readouterr().out
-    monkeypatch.setenv("DISCREPANCY_THREADS", "4")
-    assert cli.main(["solve", str(out)]) == 0
-    assert capsys.readouterr().out == base
-    monkeypatch.setenv("DISCREPANCY_THREADS", "many")
-    assert cli.main(["solve", str(out)]) == 2
-
-
 def test_verify_positive_and_negative(k3_file, tmp_path, capsys):
     assert cli.main(["verify", "--type", "star-disc", "--graph", k3_file, "-k", "2"]) == 0
     empty = tmp_path / "empty2.txt"
@@ -131,6 +119,26 @@ def test_verify_discrepancy_at_k4_on_five_vertices(kind, tmp_path, capsys):
             assert {"eq": got == expected, "lt": got < expected, "le": got <= expected}[relation]
 
 
+# One sha256 over the stdout of `verify` for every gadget type on the 15
+# graph classes with 3 and 4 vertices at k = 2.  Pins every verdict line.
+VERIFY_DIGEST = "67b75910f7ea3b41dd89b1c3d6c0622a37c9032c9973bab45af6d85aa3558715"
+
+
+def test_verify_output_is_pinned(tmp_path, capsys):
+    from conftest import graphs_up_to
+
+    digest = hashlib.sha256()
+    for kind in cli._GADGETS:
+        for name, g in graphs_up_to(4):
+            if name.startswith("n2-"):
+                continue
+            path = tmp_path / f"{name}.txt"
+            path.write_text(f"{g.n} {len(g.edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+            assert cli.main(["verify", "--type", kind, "--graph", str(path), "-k", "2"]) == 0, (kind, name)
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == VERIFY_DIGEST
+
+
 def test_verify_mismatch_exits_one(k3_file, monkeypatch, capsys):
     from discrepancy import solvers
 
@@ -151,6 +159,23 @@ def test_verify_mismatch_exits_one(k3_file, monkeypatch, capsys):
     assert repro.startswith(
         "reproduce: n=3 edges=1-2,1-3,2-3 type=bichromatic k=2 workers=1 witness=closed box lower=("
     )
+
+
+def test_verify_param_mismatch_exits_one(k3_file, monkeypatch, capsys):
+    from dataclasses import replace
+
+    from discrepancy import gadgets
+
+    real = gadgets.build_star_discrepancy_gadget
+
+    def miscounted(g, k):
+        inst = real(g, k)
+        return replace(inst, params=replace(inst.params, N=inst.params.N + 1))
+
+    monkeypatch.setattr(gadgets, "build_star_discrepancy_gadget", miscounted)
+    assert cli.main(["verify", "--type", "star-disc", "--graph", k3_file, "-k", "2"]) == 1
+    n = real(read_graph(k3_file), 2).params.N
+    assert capsys.readouterr().out == f"param mismatch: params.N={n + 1} but recomputed total weight {n}\n"
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -339,14 +364,11 @@ def test_zero_denominators_exit_two(edge_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_worker_counts_below_one_exit_two(k3_file, monkeypatch, capsys):
+def test_worker_counts_below_one_exit_two(k3_file, capsys):
     verify = ["verify", "--type", "star-disc", "--graph", k3_file, "-k", "2"]
     for threads in ("0", "-3"):
         assert cli.main(verify + ["--threads", threads]) == 2, threads
         assert capsys.readouterr().err.startswith("error: ")
-    monkeypatch.setenv("DISCREPANCY_THREADS", "0")
-    assert cli.main(verify) == 2
-    assert capsys.readouterr().err.startswith("error: ")
     assert cli.main(verify + ["--threads", "1"]) == 0
 
 

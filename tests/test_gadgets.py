@@ -21,7 +21,6 @@ from discrepancy import (
 )
 from discrepancy.gadgets import circle_point
 from discrepancy.instances import dumps_instance
-from discrepancy.numerics import rational_pow
 from conftest import GRAPHS_N4, GRAPHS_N5, _classes_on, graphs_up_to
 
 F = Fraction
@@ -159,7 +158,7 @@ def test_plane_rectangles_avoiding_blocked_regions_have_area_C_over_mu():
     # blocked region F(u) has area at most C/mu, and the bound is attained
     for n in (2, 3, 4):
         mu = F(2)
-        C = 1 / rational_pow(mu, n - 1)
+        C = 1 / mu ** (n - 1)
         scaffold = [(C * mu ** (u - 1), mu ** (-u)) for u in range(0, n + 1)]
         f_corners = [(C * mu ** (u - 2), mu ** (-u)) for u in range(1, n + 1)]
         xs = sorted({x for x, _ in scaffold + f_corners} | {F(1)})
@@ -179,7 +178,7 @@ def test_choose_mu_examples():
     assert choose_mu(2, 3, 20) == (240, F(241, 240))
     assert choose_mu(3, 4, 50) == (1200, F(1201, 1200))
     t, mu = choose_mu(2, 3, 20)
-    assert rational_pow(mu, 4) < F(20, 19)
+    assert mu ** 4 < F(20, 19)
 
 
 def test_choose_mu_bound_sweep():
@@ -191,7 +190,7 @@ def test_choose_mu_bound_sweep():
         t, mu = choose_mu(k, n, N)
         assert t == 2 * k * n * N
         assert mu == 1 + F(1, t)
-        assert rational_pow(mu, k * (n - 1)) < F(N, N - 1)
+        assert mu ** (k * (n - 1)) < F(N, N - 1)
 
 
 def test_star_discrepancy_gadget_single_edge(single_edge):

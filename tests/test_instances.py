@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from discrepancy import Graph, build_net_instance, build_star_discrepancy_gadget
 from discrepancy.gadgets import build_bichromatic_gadget
 from discrepancy.instances import (
     dumps_instance,
+    format_rational,
     instance_from_doc,
     parse_graph,
+    parse_rational,
     read_instance,
     write_instance,
 )
@@ -136,3 +139,25 @@ def test_params_and_in_s_are_type_checked(k3):
         broken["points"][0]["in_S"] = bad
         with pytest.raises(ValueError, match="in_S"):
             instance_from_doc(broken)
+
+
+def test_string_round_trip():
+    rng = random.Random(13)
+    for _ in range(200):
+        x = F(rng.randint(-500, 500), rng.randint(1, 500))
+        assert parse_rational(format_rational(x)) == x
+    assert format_rational(F(1, 2)) == "1/2"
+    assert format_rational(F(-1, 2)) == "-1/2"
+    assert format_rational(F(4, 2)) == "2"
+
+
+def test_parse_rejects_decimals_and_garbage():
+    for bad in ("0.5", "1e3", "1/2/3", "", "a/b", "1.0/2", "nan"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+
+def test_parse_rejects_zero_denominator():
+    for bad in ("1/0", "0/0", "-3/00"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(bad)
