@@ -16,6 +16,13 @@ a witness range.  The completeness arguments, recorded here once:
   plus 0 and upper faces from the coordinates plus 1 are complete.
   Emptiness is an open-box notion throughout (a point on the boundary does
   not spoil a box).
+* Empty star: a largest empty anchored box of positive volume is a
+  maximal empty orthant, since raising an unblocked face grows it.  These
+  number O(n^floor(d/2)) (Boissonnat, Sharir, Tagansky & Yvinec 1998) and
+  are kept point by point (Kaplan, Rubin, Sharir & Verbin 2008): p < u
+  replaces box u by each cut u_j := p_j whose other faces below 1 keep a
+  blocker q (on the face, below u elsewhere, q_j < p_j).  At volume 0,
+  upper ranks 0 give an empty box and the smallest key.
 * Closed boxes, by the smallest optimal key (below): faces on the ranks of
   the points the box holds, plus the 0 wall as a lower face, are complete.
   A positive excess needs a point inside.  An upper face on no point of
@@ -50,11 +57,12 @@ A * (weight inside) - B * vol with faces made per node: the excess side
 of discrepancy with (A, B) = (P, W), bichromatic and red-blue with B = 0.
 `_scan_open` scores B * vol - A * (weight inside), or finds the largest
 box with no point inside, over every grid interval longest first: the
-deficit side and the empty problems.  A discrepancy partition runs the
-closed pass, then the open pass seeded with its best.  Both kernels hold
-the surviving points as an int bitmask: a child is one AND with a rank-slab
+deficit side and the empty box.  A discrepancy partition runs the closed
+pass, then the open pass seeded with its best.  Both kernels hold the
+surviving points as an int bitmask: a child is one AND with a rank-slab
 mask built once per scan, and a weight total is one popcount per distinct
-weight, so no node copies or walks a point list.
+weight, so no node copies or walks a point list.  The empty star uses
+neither, and is never partitioned: see `_max_empty_star`.
 Coordinates are replaced by per-dimension ranks up front, and dimension j
 is scaled by the lcm D_j of its denominators, so volumes are integers
 over P = prod(D_j), discrepancy values integers over W * P, and
@@ -74,11 +82,11 @@ scan in this process, so its report is the 1-worker report for any worker
 count.  Above it, a forked pool partitions the first dimension's
 candidates, solves the partitions independently, and merges them with the
 same comparison, so value, witness and side are still identical.
-`candidates_evaluated` is too for star and box discrepancy, where it is
-the grid size in closed form; for pooled empty and majority scans it
-counts scored leaves, which depend on the partition.  Partitions never
-outnumber the CPUs, nor, for the continuous box scans, the first-dimension
-open intervals.
+`candidates_evaluated` is too for star and box discrepancy (the grid size
+in closed form) and the empty star (its maximal empty orthants); for
+pooled empty-box and majority scans it counts scored leaves, which depend
+on the partition.  Partitions never outnumber the CPUs, nor, for the
+continuous box scans, the first-dimension open intervals.
 """
 
 from __future__ import annotations
@@ -88,7 +96,7 @@ from fractions import Fraction
 import os
 from itertools import accumulate, combinations
 from math import ceil, comb, lcm, prod
-from operator import or_
+from operator import lshift, or_
 from time import perf_counter
 from typing import Sequence, Union
 
@@ -113,6 +121,7 @@ MAX_HALFSPACE_SUBSETS = 100_000
 
 # Per scan mode, the `grid_cells` above which partitions run faster in a
 # forked pool than in-process; measured on a 2-vCPU VM (ROADMAP item 3).
+# "empty" is the empty box: the empty star never forks.
 _FORK_CELLS = {"disc": 2_000_000, "empty": 30_000_000, "majority": 150_000_000}
 
 
@@ -352,14 +361,14 @@ def _scan_open(pts, ints, anchored, weight, seed, part, nparts):
 
     A point is ranks + (weight * P,) and lies inside when lo < rank < hi in
     every dimension; volumes carry the factor W (1 for an empty box).
-    Faces are every grid interval with lo < hi (lo at rank -1, the 0
-    wall, when `anchored`), longest first, ties in (lo, hi) order, so a
-    residual volume strictly below the incumbent ends the loop.  Once no
-    point survives, the only completion scored is the longest one, or the
-    smallest key when the volume is already 0.  An empty box skips every
-    leaf with a point inside.  Each scored completion is a candidate.
-    Returns ((value, key), candidates), key = lo + hi + (1,) for the
-    deficit.
+    Faces are every grid interval with lo < hi (lo at rank -1, the 0 wall,
+    when `anchored`), longest first, ties in (lo, hi) order, so a residual
+    volume strictly below the incumbent ends the loop.  Once no point
+    survives, the only completion scored is the longest one: no optimum here
+    has volume 0, as free lower ranks are >= 0 and star discrepancy is
+    positive.  An empty box skips leaves with a point inside.  Each scored
+    completion is a candidate.  Returns ((value, key), candidates), key =
+    lo + hi + (1,) for the deficit.
     """
     d = len(ints)
     dims = []
@@ -384,11 +393,8 @@ def _scan_open(pts, ints, anchored, weight, seed, part, nparts):
         nonlocal best, cands
         if not cur:
             cands += 1
-            if vol:
-                rest = [ivs[0] for ivs in dims[j:]]
-                vol *= maxtail[j]
-            else:
-                rest = [min(ivs) for ivs in dims[j:]]
+            rest = [ivs[0] for ivs in dims[j:]]
+            vol *= maxtail[j]
             key = (
                 tuple(lo[:j]) + tuple(iv[0] for iv in rest)
                 + tuple(hi[:j]) + tuple(iv[1] for iv in rest) + side
@@ -425,6 +431,49 @@ def _scan_open(pts, ints, anchored, weight, seed, part, nparts):
     return best, cands
 
 
+def _max_empty_star(pts, ints):
+    """The largest empty star over the maximal empty orthants, as
+    ((volume, (-1,) * d + u), orthants).  `boxes` maps upper ranks u to u
+    packed, rank j in bits [j * w, (j + 1) * w) under a guard bit that
+    x - pack(p) keeps iff p_j <= u_j, and to a blocker mask per face, in
+    `_below`'s bits plus a `wall` bit in every slab.  Cuts never repeat a
+    box (one maximal box would hold another), and a cut at j = 0 is final,
+    as the points go in lexicographic order."""
+    d = len(ints)
+    pts = sorted({p[:d] for p in pts})
+    wall = 1 << len(pts)
+    below = [[m | wall for m in _below([p[j] for p in pts], len(x) - 1)] for j, x in enumerate(ints)]
+    top = tuple(len(x) - 2 for x in ints)
+    w = max(top).bit_length() + 2
+    shifts = range(0, d * w, w)
+    guards = sum(1 << (s + w - 1) for s in shifts)
+    ones = sum(1 << s for s in shifts)
+    boxes = {top: (guards + sum(map(lshift, top, shifts)), [wall] * d)}
+    done = []
+    for i, p in enumerate(pts):
+        bit = 1 << i
+        at = sum(map(lshift, p, shifts))
+        for u, (x, bl) in list(boxes.items()):
+            strict = (x - at - ones) & guards
+            if strict != guards:
+                if (x - at) & guards == guards and not (eq := strict ^ guards) & (eq - 1):
+                    bl[eq.bit_length() // w - 1] |= bit
+                continue
+            del boxes[u]
+            for j, r in enumerate(p):
+                slab = below[j][r]
+                cut = [b & slab for b in bl]
+                cut[j] = bit
+                if j and all(cut):
+                    boxes[u[:j] + (r,) + u[j + 1 :]] = (x - ((u[j] - r) << shifts[j]), cut)
+                elif not j and all(cut):
+                    done.append((r,) + u[1:])
+    done += boxes
+    u = min(done, key=lambda u: (-prod(map(list.__getitem__, ints, u)), u))
+    vol = prod(map(list.__getitem__, ints, u))
+    return (vol, (-1,) * d + (u if vol else (0,) * d)), len(done)
+
+
 def _scan_disc(pts, ints, anchored, weight, part, nparts):
     """Discrepancy over one partition: the excess pass over closed boxes,
     then the deficit pass over open boxes, seeded with the excess best."""
@@ -450,9 +499,10 @@ def _solve_boxes(ps: PointSet, anchored: bool, empty: bool, workers: int):
     workers = min(workers, r if anchored else r * (r - 1) // 2)
     pts = [rk + (p.weight * scale,) for rk, p in zip(_rank_points(ps, values), ps.points)]
     weight = 1 if empty else ps.total_weight
-    if empty:
-        args = (pts, ints, anchored, None, None)
-        runs = _run_scan(_scan_open, args, workers, "empty", ps, anchored)
+    if empty and anchored:
+        runs = [_max_empty_star(pts, ints)]
+    elif empty:
+        runs = _run_scan(_scan_open, (pts, ints, False, None, None), workers, "empty", ps, False)
     else:
         runs = _run_scan(_scan_disc, (pts, ints, anchored, weight), workers, "disc", ps, anchored)
     (num, key), cands = _merge(runs)

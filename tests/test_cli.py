@@ -119,6 +119,24 @@ def test_verify_discrepancy_at_k4_on_five_vertices(kind, tmp_path, capsys):
             assert {"eq": got == expected, "lt": got < expected, "le": got <= expected}[relation]
 
 
+def test_empty_star_witness_is_pinned_at_k4(tmp_path):
+    """The largest empty star's volume and smallest optimal corner at d = 8,
+    on K5 and on the K4-free graph."""
+    from discrepancy import AnchoredBox, solve_max_empty_star
+
+    pinned = {
+        K5_TEXT: (F(1, 65536), "1/16 1 1/8 1/2 1/4 1/4 1/2 1/8"),
+        K4_FREE_TEXT: (F(1, 131072), "1/32 1 1/16 1 1/4 1/4 1 1/16"),
+    }
+    for text, (volume, upper) in pinned.items():
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        inst = cli._GADGETS["empty-star"](read_graph(path), 4, None, False)
+        rep = solve_max_empty_star(inst.points)
+        assert rep.volume == volume
+        assert rep.witness == AnchoredBox(tuple(map(F, upper.split())), closed=False)
+
+
 # One sha256 over the stdout of `verify` for every gadget type on the 15
 # graph classes with 3 and 4 vertices at k = 2.  Pins every verdict line.
 VERIFY_DIGEST = "67b75910f7ea3b41dd89b1c3d6c0622a37c9032c9973bab45af6d85aa3558715"

@@ -141,6 +141,55 @@ def test_empty_ranges_of_an_empty_set_are_the_whole_cube(d, workers):
     assert box.candidates_evaluated == 1
 
 
+def test_empty_star_matches_the_oracle_and_the_smallest_empty_corner(monkeypatch):
+    """Random sets with duplicates, 0 and 1 coordinates and zero-volume
+    optima: the volume is the oracle's, the witness is the smallest upper
+    corner (coordinates plus 1) of an empty box of that volume, recounted
+    as open and empty, and every field but `elapsed` is the same at 1 and
+    at 2 workers, also where every grid is above the fork crossover."""
+    import concurrent.futures
+    import os
+    from itertools import product
+
+    from discrepancy import solvers
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("empty-star started a pool")
+
+    monkeypatch.setattr(solvers, "_FORK_CELLS", dict.fromkeys(solvers._FORK_CELLS, 0))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rng = random.Random(83)
+    zero = 0
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        q = rng.randint(1, 6)
+        pts = []
+        for _ in range(rng.randint(0, 8)):
+            if pts and rng.random() < 0.2:
+                coords = rng.choice(pts).coords
+            else:
+                coords = tuple(F(rng.choice((0, q, rng.randint(0, q))), q) for _ in range(d))
+            pts.append(WeightedPoint(coords, None, rng.randint(1, 3)))
+        ps = PointSet(d, tuple(pts))
+        rep = solve_max_empty_star(ps)
+        assert rep.volume == naive_range_enumerate(ps, "empty-star")
+        grid = [sorted({p.coords[j] for p in pts} | {F(1)}) for j in range(d)]
+        smallest = min(
+            u
+            for u in product(*grid)
+            if not any(all(c < x for c, x in zip(p.coords, u)) for p in pts)
+            and box_volume(AnchoredBox(u, closed=False)) == rep.volume
+        )
+        assert rep.witness == AnchoredBox(smallest, closed=False)
+        assert count_in_box(ps, rep.witness).total == 0
+        assert box_volume(rep.witness) == rep.volume
+        two = solve_max_empty_star(ps, workers=2)
+        assert {**vars(two), "elapsed": 0} == {**vars(rep), "elapsed": 0}
+        zero += rep.volume == 0
+    assert zero >= 30
+
+
 # ---------------------------------------------------------------------------
 # Bichromatic box
 
@@ -704,9 +753,10 @@ def test_huge_and_mixed_weights_match_the_oracle_and_recount():
 
 
 def test_scored_leaf_counts_are_pinned_on_all_four_vertex_classes():
-    """Summed `candidates_evaluated` at one worker: the empty and majority
-    scans count scored leaves, so a scan that scores one leaf more or less
-    than the filtering odometer changes these sums."""
+    """Summed `candidates_evaluated` at one worker: the empty-box and
+    majority scans count scored leaves, so a scan that scores one leaf more
+    or less than the filtering odometer changes these sums; empty-star
+    counts the maximal empty boxes, which depend on the points alone."""
     from conftest import GRAPHS_N4
 
     from discrepancy import (
@@ -722,7 +772,7 @@ def test_scored_leaf_counts_are_pinned_on_all_four_vertex_classes():
         return build_empty_star_gadget(g, k, F(2))  # the CLI's default mu
 
     expected = {
-        solve_max_empty_star: (empty_star, 360, 6_391),
+        solve_max_empty_star: (empty_star, 324, 1_929),
         solve_max_empty_box: (build_empty_box_gadget, 184, 1_023),
         solve_bichromatic_box: (build_bichromatic_gadget, 4_092, 53_769),
         solve_redblue_box_discrepancy: (build_redblue_gadget, 1_932, 31_474),
@@ -833,12 +883,14 @@ def test_worker_counts_keep_the_one_worker_report(monkeypatch):
     monkeypatch.setattr(solvers, "_FORK_CELLS", dict.fromkeys(solvers._FORK_CELLS, 0))
     # Pooled partitions keep the optimum, its witness and its side; their
     # scored-leaf counts depend on the partition, except for the closed-form
-    # counts of star and box discrepancy.
+    # counts of star and box discrepancy and the empty star, which is never
+    # partitioned.
     kept = ("value", "volume", "witness", "side", "feasible")
+    whole = (solve_star_discrepancy, solve_box_discrepancy, solve_max_empty_star)
     for workers in (2, 8):
         for i, (got, want) in enumerate(zip(reports(workers), one)):
             assert {k: got[k] for k in kept if k in got} == {k: want[k] for k in kept if k in want}
-            if solves[i % len(solves)] in (solve_star_discrepancy, solve_box_discrepancy):
+            if solves[i % len(solves)] in whole:
                 assert got["candidates_evaluated"] == want["candidates_evaluated"]
     assert multiprocessing.active_children() == []
 
