@@ -17,21 +17,27 @@ A phase-1 optimum of 0 means the alternative is feasible, so the result is
 None.  Otherwise the simplex multipliers pi of the final basis satisfy
 pi[:nvars] . A_i <= pi[nvars] b_i for every constraint (the reduced costs
 of the constraint columns are nonnegative), and pi[nvars] is the positive
-optimum, so x = pi[:nvars] / pi[nvars] satisfies every row exactly.  The
-artificial columns start as the identity with cost 1, so their negated
-reduced costs, kept in the cost row, are pi - 1.
+optimum, so x = pi[:nvars] / pi[nvars] satisfies every row exactly.
 
 Pivoting uses Bland's rule (smallest-index entering column, smallest basis
 index on ratio ties), which terminates without cycling; artificials never
-re-enter.  The pivot loop is fraction-free (Bareiss 1968; Edmonds 1967):
-each integer row is its own column, and the tableau, right-hand side and
-cost row are kept as integers equal to det times their rational values,
-where det > 0 is the current basis determinant.  A pivot on entry
-p = T[r][c] leaves row r as it is, replaces every other entry by
-(p * T[i][j] - T[i][c] * T[r][j]) // det, a division that is exact because
-each entry is a minor of the bordered integer matrix, and sets det = p.
-The ratio test cross-multiplies, and the witness is
-x_i = (cost[m + i] + det) / (cost[m + nvars] + det).  There is no tolerance
+re-enter.  The simplex is revised (Dantzig & Orchard-Hays 1954) and
+fraction-free (Bareiss 1968; Edmonds 1967).  With det > 0 the current
+basis determinant, the fraction-free tableau is det * B^-1 [A | I] with
+cost row det * (pi [A | I] - c); the state kept is its artificial block,
+inv = det * B^-1 (k x k, k = nvars + 1), and dpi = det * pi, its cost
+entries plus det.  Both are integers, and so are the constraint columns
+A_j, so column j's tableau entries inv . A_j and its cost entry dpi . A_j
+are integers, computed on demand, equal to the full tableau's: Bland's
+rule compares the same integers.  The right-hand side det * B^-1 e_nvars
+is the last column of inv.  A pivot on entry p = (inv . A_c)[r] leaves
+row r as it is, replaces every other row v of inv, and dpi, by
+(p * v - f * inv[r]) // det, where f is that row's entry in the entering
+column, and sets det = p.  Each division is exact: it is the Bareiss step
+of the full tableau, whose entries are minors of the bordered integer
+matrix, restricted to the artificial columns (for dpi, the cost row's
+step plus p * det, which det divides).  The ratio test cross-multiplies,
+and the witness is x_i = dpi[i] / dpi[nvars].  There is no tolerance
 anywhere.  The test suite's independent reference route is Fourier-Motzkin
 elimination in `oracles`, so the two decisions never share code.
 """
@@ -39,6 +45,7 @@ elimination in `oracles`, so the two decisions never share code.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 ZERO = Fraction(0)
@@ -49,7 +56,8 @@ Constraint = tuple[Sequence[int], int]
 def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[list[Fraction]]:
     """A point satisfying coeffs . x <= rhs for every constraint, or None.
     Entries must be int; anything else, a Fraction or a bool included,
-    raises ValueError."""
+    raises ValueError.  Pivots the k x k basis adjugate only and prices
+    each constraint column on demand (see the module docstring)."""
     # Column i of the alternative is (A_i, -b_i).
     columns = []
     for coeffs, rhs in constraints:
@@ -67,49 +75,48 @@ def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[li
     if not columns:
         return [ZERO] * nvars
 
-    # Columns 0..m-1 are the multipliers y of the constraints; columns
-    # m..m+nvars are the artificials, one per row, starting as the basis.
+    # The artificials, one per row, start as the basis: inv = I, det = 1,
+    # and each starts with cost 1, so dpi is all ones (phase 1 minimizes
+    # their sum).  basis[i] is a constraint index, or m + i's artificial.
     m = len(columns)
     k = nvars + 1
-    tableau = [[col[j] for col in columns] + [int(r == j) for r in range(k)] for j in range(k)]
-    # Phase-1 objective: minimize the sum of artificials.  The cost row
-    # holds minus the reduced costs: column sums, and 1 - 1 on artificials.
-    cost = [sum(col) for col in columns] + [0] * k
-    rhs_col = [0] * nvars + [1]
+    inv = [[int(r == j) for j in range(k)] for r in range(k)]
+    dpi = [1] * k
     basis = list(range(m, m + k))
     det = 1
 
     while True:
-        entering = next((j for j in range(m) if cost[j] > 0), None)
-        if entering is None:
+        for entering, col in enumerate(columns):
+            # The column's cost entry: det times minus its reduced cost.
+            cost = sum(map(mul, dpi, col))
+            if cost > 0:
+                break
+        else:
             break
+        tcol = [sum(map(mul, row, col)) for row in inv]
         leaving = None
-        for i, row in enumerate(tableau):
-            coeff = row[entering]
-            # rhs_col[i] / coeff against the best ratio, cross-multiplied.
+        for i, coeff in enumerate(tcol):
+            # rhs_i / coeff (rhs is inv's last column) against the best
+            # ratio, cross-multiplied.
             if coeff > 0 and (
                 leaving is None
-                or (diff := rhs_col[i] * best_coeff - best_rhs * coeff) < 0
+                or (diff := inv[i][nvars] * best_coeff - best_rhs * coeff) < 0
                 or (diff == 0 and basis[i] < basis[leaving])
             ):
-                leaving, best_rhs, best_coeff = i, rhs_col[i], coeff
+                leaving, best_rhs, best_coeff = i, inv[i][nvars], coeff
         if leaving is None:
             # The objective is bounded below by 0, so an improving column
-            # always admits a ratio; reaching here means a corrupt tableau.
+            # always admits a ratio; reaching here means a corrupt state.
             raise RuntimeError("phase-1 objective unbounded")
-        prow = tableau[leaving]
-        p = prow[entering]
-        for i, row in enumerate(tableau):
+        prow = inv[leaving]
+        p = tcol[leaving]
+        for i, f in enumerate(tcol):
             if i != leaving:
-                f = row[entering]
-                tableau[i] = [(p * a - f * b) // det for a, b in zip(row, prow)]
-                rhs_col[i] = (p * rhs_col[i] - f * best_rhs) // det
-        f = cost[entering]
-        cost = [(p * a - f * b) // det for a, b in zip(cost, prow)]
+                inv[i] = [(p * a - f * b) // det for a, b in zip(inv[i], prow)]
+        dpi = [(p * a - cost * b) // det for a, b in zip(dpi, prow)]
         det = p
         basis[leaving] = entering
 
-    denom = cost[m + nvars] + det
-    if denom == 0:
+    if dpi[nvars] == 0:
         return None
-    return [Fraction(cost[m + i] + det, denom) for i in range(nvars)]
+    return [Fraction(dpi[i], dpi[nvars]) for i in range(nvars)]

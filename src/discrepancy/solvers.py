@@ -46,9 +46,12 @@ a witness range.  The completeness arguments, recorded here once:
   linear feasibility of a margin-1 system (scaling makes strict
   separation equivalent).  `separation.feasible_point` pivots on its
   Farkas alternative, i.e. it tests whether conv(subset) meets conv(reds)
-  on d + 2 rows, and reads the separating (normal, offset) off the
-  phase-1 multipliers, given margin rows that `_integer_row` scales to
-  integers once per search.  No hyperplane-enumeration shortcut is trusted.
+  on d + 2 rows, with a revised fraction-free simplex that keeps only the
+  (d + 2) x (d + 2) basis adjugate, and reads the separating (normal,
+  offset) off the phase-1 multipliers, given margin rows that
+  `_integer_row` scales to integers once per search.  The witness's blue
+  weight is recounted in the same integers.  No hyperplane-enumeration
+  shortcut is trusted.
   A search projecting more than MAX_HALFSPACE_SUBSETS subsets is refused.
 
 Box problems run on two scan kernels, one per closure (Gnewuch, Srivastav
@@ -96,7 +99,7 @@ from fractions import Fraction
 import os
 from itertools import accumulate, combinations
 from math import ceil, comb, lcm, prod
-from operator import lshift, or_
+from operator import lshift, mul, or_
 from time import perf_counter
 from typing import Sequence, Union
 
@@ -595,15 +598,19 @@ def solve_redblue_box_discrepancy(ps: PointSet, workers: int = 1) -> Discrepancy
 
 def _integer_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple:
     """The row coeffs . x <= rhs times the lcm L of its denominators, in the
-    integers that `feasible_point` takes.  This leaves the LP's choices and
-    witness unchanged: in the Farkas alternative it substitutes y_i / L for
-    the row's multiplier y_i >= 0, which scales column i's reduced cost and
-    all of its ratio-test ratios by positive factors, so the entering and
-    leaving choices are Bland's on the rational system; the artificials are
-    not scaled, so the multipliers pi, and with them the witness, are the
-    same too."""
+    integers that `feasible_point` takes: each entry a / q becomes
+    a * (L // q), from numerators and denominators alone.  This leaves the
+    LP's choices and witness unchanged: in the Farkas alternative it
+    substitutes y_i / L for the row's multiplier y_i >= 0, which scales
+    column i's reduced cost and all of its ratio-test ratios by positive
+    factors, so the entering and leaving choices are Bland's on the
+    rational system; the artificials are not scaled, so the multipliers pi,
+    and with them the witness, are the same too."""
     scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-    return tuple(c.numerator * (scale // c.denominator) for c in coeffs), int(rhs * scale)
+    return (
+        tuple(c.numerator * (scale // c.denominator) for c in coeffs),
+        rhs.numerator * (scale // rhs.denominator),
+    )
 
 
 def solve_bichromatic_halfspace(ps: PointSet, m: int) -> BichromaticReport:
@@ -647,7 +654,9 @@ def solve_bichromatic_halfspace(ps: PointSet, m: int) -> BichromaticReport:
             f"more than the limit of {MAX_HALFSPACE_SUBSETS}"
         )
     blue_rows = [_integer_row(b + (-ONE,), ZERO) for b in blues]
-    red_rows = [_integer_row(tuple(-x for x in r) + (ONE,), -ONE) for r in red_list]
+    # A red's row -r . w + c <= -1 is the negated row of r . w - c <= 1.
+    red_rows = [_integer_row(r + (-ONE,), ONE) for r in red_list]
+    red_rows = [(tuple(-a for a in coeffs), -rhs) for coeffs, rhs in red_rows]
     cands = 0
     for size in range(1, min(m, len(blues)) + 1):
         for combo in combinations(range(len(blues)), size):
@@ -657,15 +666,12 @@ def solve_bichromatic_halfspace(ps: PointSet, m: int) -> BichromaticReport:
             x = feasible_point([blue_rows[i] for i in combo] + red_rows, d + 1)
             if x is None:
                 continue
-            normal = tuple(x[:d])
-            offset = x[d]
-            value = sum(
-                w
-                for b, w in zip(blues, weights)
-                if sum(a * c for a, c in zip(normal, b)) <= offset
-            )
+            # b . normal <= offset iff the blue's row, a positive multiple
+            # of (b, -1), is <= 0 at a positive multiple of the witness.
+            point, _ = _integer_row(x, ZERO)
+            value = sum(w for (row, _), w in zip(blue_rows, weights) if sum(map(mul, row, point)) <= 0)
             return BichromaticReport(
-                value, HalfSpace(normal, offset), True, cands, perf_counter() - t0
+                value, HalfSpace(tuple(x[:d]), x[d]), True, cands, perf_counter() - t0
             )
     return BichromaticReport(0, None, False, cands, perf_counter() - t0)
 

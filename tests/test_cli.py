@@ -137,6 +137,24 @@ def test_empty_star_witness_is_pinned_at_k4(tmp_path):
         assert rep.witness == AnchoredBox(tuple(map(F, upper.split())), closed=False)
 
 
+def test_halfspace_search_is_pinned_at_k4(tmp_path):
+    """The k = 4 half-space search on K5, directly and as the eps-net check:
+    verdict, exact witness and LP count."""
+    from discrepancy import HalfSpace, solvers
+
+    path = tmp_path / "k5.txt"
+    path.write_text(K5_TEXT)
+    normal = "-1369/8 -933/8 -179523/1432 -29646/179 -14823/184 -4392/23 -305/8 -610/3"
+    witness = HalfSpace(tuple(map(F, normal.split())), F(-1655, 8))
+    inst = cli._GADGETS["halfspace"](read_graph(path), 4, None, False)
+    rep = solvers.solve_bichromatic_halfspace(inst.points, 4)
+    assert (rep.feasible, rep.value, rep.witness, rep.candidates_evaluated) == (True, 4, witness, 1801)
+    inst = cli._GADGETS["net-halfspace"](read_graph(path), 4, None, False)
+    mask = [p.in_s for p in inst.points.points]
+    rep = solvers.verify_epsilon_net(inst.points, mask, inst.params.eps, "halfspace")
+    assert (rep.is_net, rep.violator, rep.candidates_evaluated) == (False, witness, 1801)
+
+
 # One sha256 over the stdout of `verify` for every gadget type on the 15
 # graph classes with 3 and 4 vertices at k = 2.  Pins every verdict line.
 VERIFY_DIGEST = "67b75910f7ea3b41dd89b1c3d6c0622a37c9032c9973bab45af6d85aa3558715"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -214,20 +215,41 @@ def test_planted_verdicts_at_gadget_shape():
             _check(rows, d + 1, x)
 
 
-def test_positive_row_multiples_leave_verdict_and_witness_unchanged():
-    # A positive multiple of a row scales its column of the Farkas
-    # alternative, which changes none of Bland's choices and no multiplier,
-    # so the verdict and the exact witness must not move.
-    rng = random.Random(15)
+def _pinned_systems(rng):
+    """200 random general systems, 100 with large denominators, the planted
+    gadget-shape systems and 4 with zero rows."""
     systems = [_random_general_system(rng) for _ in range(200)]
     systems += [_big_denominator_system(rng) for _ in range(100)]
     systems += [(_margin_rows(b, r), d + 1) for b, r, d, _ in _planted_systems()]
-    systems += [
+    return systems + [
         ([((F(0), F(0)), F(1, 3))], 2),
         ([((F(0), F(0)), F(-1, 3))], 2),
         ([((F(0),), F(0)), ((F(2, 3),), F(-1, 2))], 1),
         ([((F(0), F(0)), F(-2, 7)), ((F(1, 2), F(1)), F(1))], 2),
     ]
+
+
+# One sha256 over (verdict, exact witness) on every pinned system.  Bland's
+# choices fix one witness per system, so any change to an entering column,
+# a leaving row or a multiplier shows here.
+FEASIBLE_POINT_DIGEST = "180f5fa397c17b9545ee2ce849bf67beb90021057820cb1cb47ea40fc2a88e30"
+
+
+def test_verdicts_and_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    for rows, nvars in _pinned_systems(random.Random(15)):
+        x = feasible_point(_scaled_rows(rows), nvars)
+        line = "None" if x is None else " ".join(f"{v.numerator}/{v.denominator}" for v in x)
+        digest.update(f"{line}\n".encode())
+    assert digest.hexdigest() == FEASIBLE_POINT_DIGEST
+
+
+def test_positive_row_multiples_leave_verdict_and_witness_unchanged():
+    # A positive multiple of a row scales its column of the Farkas
+    # alternative, which changes none of Bland's choices and no multiplier,
+    # so the verdict and the exact witness must not move.
+    rng = random.Random(15)
+    systems = _pinned_systems(rng)
     verdicts = set()
     for rows, nvars in systems:
         ints = _scaled_rows(rows)

@@ -521,6 +521,39 @@ def test_halfspace_witness_is_pinned_on_clique_gadgets():
         assert (rep.feasible, rep.value, rep.candidates_evaluated) == (True, 2, cands), n
         assert rep.witness == HalfSpace(normal, offset), n
 
+
+def test_integer_row_matches_the_fraction_formula():
+    # The reference is each entry and the rhs times the lcm of the row's
+    # denominators, in Fraction arithmetic.
+    from math import lcm
+
+    from discrepancy.solvers import _integer_row
+
+    rng = random.Random(19)
+    denominators = (1, 2, 3, 7, 2**31 - 1, 2**61 - 1, 2**64)
+
+    def entry():
+        roll = rng.random()
+        if roll < 0.1:
+            return F(0)
+        if roll < 0.2:
+            return rng.randint(-5, 5)  # a plain int coordinate
+        if roll < 0.3:
+            return F(rng.randint(-2**64, 2**64))  # an integral Fraction
+        if roll < 0.5:
+            return F(rng.randint(-3, 3), rng.choice(denominators))
+        return F(rng.randint(-2**64, 2**64), rng.choice((rng.randint(1, 2**64), *denominators)))
+
+    for _ in range(1000):
+        coeffs = tuple(entry() for _ in range(rng.randint(1, 6)))
+        rhs = entry()
+        scale = lcm(*(F(e).denominator for e in (*coeffs, rhs)))
+        expected = tuple(int(c * scale) for c in coeffs), int(rhs * scale)
+        got = _integer_row(coeffs, rhs)
+        assert got == expected, (coeffs, rhs)
+        assert {type(e) for e in (*got[0], got[1])} == {int}
+
+
 def test_worker_counts_do_not_change_output():
     rng = random.Random(41)
     for _ in range(6):
