@@ -11,9 +11,9 @@ adjacent vertices, and conversely any k-clique yields such a range.
 
 One helper, `_kill_points`, builds the kill points of every gadget from a
 per-vertex corner, once per unordered plane pair i < j and bad vertex pair.
-So the hyperbolic gadgets know their point count before they are built,
-as `choose_mu` needs: N = k(n+1) + C(k,2)|bad pairs| (+2 for the box
-discrepancy corners), where |bad pairs| = n + 2(C(n,2) - |E|) counts the
+So every gadget knows its point count N before it is built, as
+`choose_mu` and the MAX_GADGET_POINTS limit need: its scaffold plus
+C(k,2)|bad pairs|, where |bad pairs| = n + 2(C(n,2) - |E|) counts the
 ordered pairs (u, v) with u = v or uv not an edge.
 
 Each builder packages the point set together with all derived constants
@@ -47,6 +47,10 @@ PROBLEMS = (
 )
 # Problems on plain points: a colored point there is a malformed instance.
 _UNCOLORED = ("empty-star", "star-disc", "empty-box", "box-disc")
+
+# Most points one gadget may have; the k = 4 gadgets on five vertices have
+# at most 195.
+MAX_GADGET_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -107,9 +111,16 @@ class GadgetInstance:
             raise ValueError(f"expected_positive must be an integer threshold, got {threshold}")
 
 
-def _check_reduction_size(g: Graph, k: int) -> None:
+def _check_reduction_size(g: Graph, k: int, scaffold: int) -> int:
+    """The point count N = scaffold + C(k,2)|bad pairs| of a gadget with
+    `scaffold` points besides its kill points, in closed form; raises
+    ValueError on k < 2, n < 2 or N > MAX_GADGET_POINTS."""
     if k < 2 or g.n < 2:
         raise ValueError("degenerate reduction")
+    n_points = scaffold + comb(k, 2) * (g.n + 2 * (comb(g.n, 2) - len(g.edges)))
+    if n_points > MAX_GADGET_POINTS:
+        raise ValueError(f"gadget would have {n_points} points, more than the limit of {MAX_GADGET_POINTS}")
+    return n_points
 
 
 def _embed(k: int, plane: int, x: Fraction, y: Fraction) -> Point:
@@ -161,7 +172,8 @@ def build_bichromatic_gadget(g: Graph, k: int, normalize: bool = True) -> Gadget
     in the unit cube; that map is a per-dimension order isomorphism, so
     every combinatorial value is unchanged.
     """
-    _check_reduction_size(g, k)
+    # The blue origin, n blues and n - 1 red separators per plane.
+    _check_reduction_size(g, k, 1 + k * (2 * g.n - 1))
     n = g.n
     scale = Fraction(1, n + 1) if normalize else ONE
     corner = {v: (v * scale, (n + 1 - v) * scale) for v in range(1, n + 1)}
@@ -216,7 +228,7 @@ def build_empty_star_gadget(g: Graph, k: int, mu: Fraction) -> GadgetInstance:
     has a (k-1)-clique: the sharp value is C^w (C/mu)^(k-w) with
     w = min(omega(G), k-1); w planes keep pairwise-adjacent area-C
     rectangles and every other plane shrinks to area C/mu."""
-    _check_reduction_size(g, k)
+    _check_reduction_size(g, k, k * (g.n + 1))
     mu = Fraction(mu)
     if mu <= 1:
         raise ValueError("mu must exceed 1")
@@ -255,8 +267,7 @@ def _tuned_hyperbola(g: Graph, k: int, extra: int):
     gadget of N points: the empty-star set plus `extra` points.  N is known
     before the build, as choose_mu needs it: k(n+1) scaffold points, C(k,2)
     kill points per bad vertex pair, plus extra."""
-    _check_reduction_size(g, k)
-    n_points = k * (g.n + 1) + comb(k, 2) * len(_bad_vertex_pairs(g)) + extra
+    n_points = _check_reduction_size(g, k, k * (g.n + 1) + extra)
     t, mu = choose_mu(k, g.n, n_points)
     base = build_empty_star_gadget(g, k, mu)
     return GadgetParams(k=k, n=g.n, N=n_points, mu=mu, t=t, C=base.params.C, V=base.params.V), base
@@ -351,7 +362,8 @@ def build_halfspace_gadget(g: Graph, k: int) -> GadgetInstance:
     red neighbors: the origin never joins an optimal selection, and the
     k+1 target of the box reduction is unattainable for half-spaces.
     """
-    _check_reduction_size(g, k)
+    # The blue origin, n blues and n + 1 red separators per plane.
+    _check_reduction_size(g, k, 1 + k * (2 * g.n + 1))
     n = g.n
     on_circle = {v: circle_point(Fraction(v, n + 1)) for v in range(1, n + 1)}
     separators = [circle_point(Fraction(2 * v + 1, 2 * (n + 1))) for v in range(0, n + 1)]

@@ -78,9 +78,6 @@ class PointSet:
     def colored(self, color: Optional[str]) -> tuple[WeightedPoint, ...]:
         return tuple(p for p in self.points if p.color == color)
 
-    def in_unit_cube(self) -> bool:
-        return all(ZERO <= c <= ONE for p in self.points for c in p.coords)
-
 
 def point_set(dim: int, items: Iterable[tuple]) -> PointSet:
     """Build a PointSet from (coords, color, weight[, in_s]) tuples."""

@@ -66,16 +66,16 @@ surviving points as an int bitmask: a child is one AND with a rank-slab
 mask built once per scan, and a weight total is one popcount per distinct
 weight, so no node copies or walks a point list.  The empty star uses
 neither, and is never partitioned: see `_max_empty_star`.
-Coordinates are replaced by per-dimension ranks up front, and dimension j
-is scaled by the lcm D_j of its denominators, so volumes are integers
-over P = prod(D_j), discrepancy values integers over W * P, and
-`Fraction`s are built only for the report.  A point is its ranks plus one
-signed integer weight, and every anchored box has lower rank -1, the 0
-wall, in both kernels.  Pruning uses sound bounds (positive weight less
-the smallest completing volume for closed boxes, the largest completing
-volume for open ones) and always a strict inequality, so ties at the
-optimum are never discarded and the reported witness is independent of
-traversal order.
+`_grid` is the one conversion from coordinates: it scales dimension j by
+the lcm D_j of its denominators and ranks each point into the sorted
+integers, so volumes are integers over P = prod(D_j), discrepancy values
+integers over W * P, and `Fraction`s are built only for the report.  A
+point is its ranks plus one signed integer weight, and every anchored box
+has lower rank -1, the 0 wall, in both kernels.  Pruning uses sound
+bounds (positive weight less the smallest completing volume for closed
+boxes, the largest completing volume for open ones) and always a strict
+inequality, so ties at the optimum are never discarded and the reported
+witness is independent of traversal order.
 
 Determinism: among all optimal candidates the solver reports the one with
 the lexicographically smallest witness key (lower ranks, then upper ranks,
@@ -112,7 +112,6 @@ from .geometry import (
     Box,
     HalfSpace,
     PointSet,
-    critical_grid,
 )
 from .separation import feasible_point
 
@@ -166,18 +165,31 @@ class NetReport:
 # Preparation: integer ranks into the critical grid.
 
 
-def _rank_points(ps: PointSet, values):
-    """Each point's coordinates as ranks into the sorted `values`."""
-    rank = [{v: i for i, v in enumerate(vs)} for vs in values]
-    return [tuple(r[c] for r, c in zip(rank, p.coords)) for p in ps.points]
+def _grid(ps: PointSet, walls: tuple):
+    """The critical grid in integers, as (ints, scales, ranks).  Dimension j
+    is scaled by D_j = scales[j], the lcm of its denominators; ints[j] is
+    the sorted distinct scaled coordinates together with w * D_j for each
+    `walls` entry w (0 and/or 1, plain ints), then a trailing 0 so that the
+    anchored lower rank -1 reads as the 0 wall; ranks[i] indexes point i's
+    coordinates into ints.  A volume is then an integer over prod(D_j)."""
+    ints, scales, ranked = [], [], []
+    for col in zip(*(p.coords for p in ps.points)) if ps.points else [()] * ps.dim:
+        den = lcm(*(c.denominator for c in col))
+        xs = [c.numerator * (den // c.denominator) for c in col]
+        vals = sorted({*xs, *(w * den for w in walls)})
+        rank = {x: i for i, x in enumerate(vals)}
+        ints.append(vals + [0])
+        scales.append(den)
+        ranked.append([rank[x] for x in xs])
+    return ints, scales, list(zip(*ranked))
 
 
-def _faces(values, key):
-    """(lower, upper) face coordinates of a rank key lo ranks + hi ranks,
-    the anchored lower rank -1 read as the 0 wall."""
-    d = len(values)
-    lower = tuple(vs[i] if i >= 0 else ZERO for vs, i in zip(values, key[:d]))
-    upper = tuple(vs[i] for vs, i in zip(values, key[d : 2 * d]))
+def _faces(ints, scales, key):
+    """(lower, upper) face coordinates of a rank key lo ranks + hi ranks;
+    the anchored lower rank -1 reads the trailing 0, the 0 wall."""
+    d = len(ints)
+    lower = tuple(Fraction(x[i], den) for x, den, i in zip(ints, scales, key[:d]))
+    upper = tuple(Fraction(x[i], den) for x, den, i in zip(ints, scales, key[d : 2 * d]))
     return lower, upper
 
 
@@ -241,18 +253,6 @@ def _run_scan(scan, args, workers: int, mode: str, *grid):
 # odometer order, hold the surviving points as a bitmask (bit i is pts[i])
 # narrowed by `_below` slabs and totalled by `_groups`, prune only on a
 # strict `<`, and key a box by lo ranks + hi ranks + side.
-
-
-def _scaled(values):
-    """Dimension j's values times D_j, the lcm of their denominators, then a
-    trailing 0 so that the anchored lower rank -1 reads as the 0 face; with
-    P = prod(D_j), so that a volume is an integer over P."""
-    ints, scale = [], 1
-    for vals in values:
-        den = lcm(*(v.denominator for v in vals))
-        ints.append([v.numerator * (den // v.denominator) for v in vals] + [0])
-        scale *= den
-    return ints, scale
 
 
 def _below(ranks, size):
@@ -493,14 +493,15 @@ def _solve_boxes(ps: PointSet, anchored: bool, empty: bool, workers: int):
     open box when `empty`, else the discrepancy; the witness is open unless
     the side is excess."""
     t0 = perf_counter()
-    if not ps.in_unit_cube():
+    ints, scales, ranks = _grid(ps, (1,) if anchored else (0, 1))
+    # The grid holds the walls, so its ends are the extreme coordinates.
+    if any(x[0] < 0 or x[-2] > den for x, den in zip(ints, scales)):
         raise ValueError("coordinates outside [0,1]")
-    values = critical_grid(ps, with_zero=not anchored, with_one=True).values
-    ints, scale = _scaled(values)
+    scale = prod(scales)
     # No more partitions than first-dimension open intervals.
-    r = len(values[0])
+    r = len(ints[0]) - 1
     workers = min(workers, r if anchored else r * (r - 1) // 2)
-    pts = [rk + (p.weight * scale,) for rk, p in zip(_rank_points(ps, values), ps.points)]
+    pts = [rk + (p.weight * scale,) for rk, p in zip(ranks, ps.points)]
     weight = 1 if empty else ps.total_weight
     if empty and anchored:
         runs = [_max_empty_star(pts, ints)]
@@ -510,7 +511,7 @@ def _solve_boxes(ps: PointSet, anchored: bool, empty: bool, workers: int):
         runs = _run_scan(_scan_disc, (pts, ints, anchored, weight), workers, "disc", ps, anchored)
     (num, key), cands = _merge(runs)
     value = Fraction(num, scale * weight)
-    lower, upper = _faces(values, key)
+    lower, upper = _faces(ints, scales, key)
     excess = not empty and not key[-1]
     witness = AnchoredBox(upper, excess) if anchored else Box(lower, upper, excess)
     if empty:
@@ -541,16 +542,12 @@ def solve_max_empty_box(ps: PointSet, workers: int = 1) -> EmptyBoxReport:
     return _solve_boxes(ps, False, True, workers)
 
 
-def _solve_majority(ps, values, major, penalty, anchored, init_best, workers):
-    """Run the majority scan: a `major` point scores +w, a point of the
-    other color -penalty * w and an uncolored point 0."""
+def _solve_majority(ps, ints, ranks, major, penalty, anchored, init_best, workers):
+    """Run the majority scan on `_grid(ps, ())`: a `major` point scores +w,
+    a point of the other color -penalty * w and an uncolored point 0."""
     score = {major: 1, RED if major == BLUE else BLUE: -penalty, None: 0}
-    pts = [
-        ranks + (score[p.color] * p.weight,)
-        for ranks, p in zip(_rank_points(ps, values), ps.points)
-    ]
-    # Volume does not count here, so every value may scale to 0.
-    args = (pts, [[0] * (len(vs) + 1) for vs in values], anchored, 0, init_best)
+    pts = [rk + (score[p.color] * p.weight,) for rk, p in zip(ranks, ps.points)]
+    args = (pts, ints, anchored, 0, init_best)
     grid = (ps, anchored, (major,))
     return _merge(_run_scan(_scan_closed, args, workers, "majority", *grid))
 
@@ -565,12 +562,12 @@ def solve_bichromatic_box(
     if anchored:
         # A point with a negative coordinate lies in no box [0, u].
         ps = PointSet(ps.dim, tuple(p for p in ps.points if min(p.coords) >= ZERO))
-    values = critical_grid(ps).values
+    ints, scales, ranks = _grid(ps, ())
     # A red point outweighs all blues, so only red-free boxes score >= 0.
-    best, cands = _solve_majority(ps, values, BLUE, blue + 1, anchored, None, workers)
+    best, cands = _solve_majority(ps, ints, ranks, BLUE, blue + 1, anchored, None, workers)
     if best is None or best[0] < 0:
         return BichromaticReport(0, None, True, cands, perf_counter() - t0)
-    witness = Box(*_faces(values, best[1]), closed=True)
+    witness = Box(*_faces(ints, scales, best[1]), closed=True)
     return BichromaticReport(best[0], witness, True, cands, perf_counter() - t0)
 
 
@@ -582,9 +579,9 @@ def solve_redblue_box_discrepancy(ps: PointSet, workers: int = 1) -> Discrepancy
     """
     t0 = perf_counter()
     _require_nonempty(ps)
-    values = critical_grid(ps).values
-    blue_best, cands = _solve_majority(ps, values, BLUE, 1, False, None, workers)
-    best, c = _solve_majority(ps, values, RED, 1, False, blue_best, workers)
+    ints, scales, ranks = _grid(ps, ())
+    blue_best, cands = _solve_majority(ps, ints, ranks, BLUE, 1, False, None, workers)
+    best, c = _solve_majority(ps, ints, ranks, RED, 1, False, blue_best, workers)
     cands += c
     if best is None:
         # No colored points at all: every box balances at zero.
@@ -592,7 +589,7 @@ def solve_redblue_box_discrepancy(ps: PointSet, workers: int = 1) -> Discrepancy
         witness = Box(first, first, closed=True)
         return DiscrepancyReport(Fraction(0), witness, "excess", cands, perf_counter() - t0)
     side = "excess" if best == blue_best else "deficit"
-    witness = Box(*_faces(values, best[1]), closed=True)
+    witness = Box(*_faces(ints, scales, best[1]), closed=True)
     return DiscrepancyReport(Fraction(best[0]), witness, side, cands, perf_counter() - t0)
 
 

@@ -119,22 +119,85 @@ def test_verify_discrepancy_at_k4_on_five_vertices(kind, tmp_path, capsys):
             assert {"eq": got == expected, "lt": got < expected, "le": got <= expected}[relation]
 
 
-def test_empty_star_witness_is_pinned_at_k4(tmp_path):
-    """The largest empty star's volume and smallest optimal corner at d = 8,
-    on K5 and on the K4-free graph."""
-    from discrepancy import AnchoredBox, solve_max_empty_star
+# The six box solvers' reports at d = 8 (k = 4) on K5 and on the K4-free
+# graph: value, witness, side and candidates_evaluated.
+_K5_DISC = (
+    "224522577073545572400872111237926748160000000000000000/"
+    "226191494526852500073529496217227267971739619109666561"
+)
+_K5_CORNER = (
+    "21767823360000/21808162146241, 1, 10077696000/10091699281, 2160/2161, "
+    "4665600/4669921, 4665600/4669921, 2160/2161, 10077696000/10091699281"
+)
+_K5_BOX_CORNER = (
+    "25176309760000/25221297570561, 1, 11239424000/11254483521, 2240/2241, "
+    "5017600/5022081, 5017600/5022081, 2240/2241, 11239424000/11254483521"
+)
+_FREE_DISC = (
+    "251552187503918775404966920297460761047859200000000000000000/"
+    "252926344515109950256249393899805764242800799299222889371441"
+)
+_FREE_CORNER = (
+    "295646655283200000/296120751810639601, 1, 94758543360000/94880087090881, 1, "
+    "9734400/9740641, 9734400/9740641, 1, 94758543360000/94880087090881"
+)
+_FREE_BOX_CORNER = (
+    "335544320000000000/336068935782416001, 1, 104857600000000/104988733452801, 1, "
+    "10240000/10246401, 10240000/10246401, 1, 104857600000000/104988733452801"
+)
+_ORIGIN = "lower=(0, 0, 0, 0, 0, 0, 0, 0)"
+_K5_CLIQUE_BOX = f"closed box {_ORIGIN} upper=(1/6, 5/6, 1/3, 2/3, 1/2, 1/2, 2/3, 1/3)"
+_FREE_BEST_BOX = f"closed box {_ORIGIN} upper=(0, 0, 1/6, 5/6, 1/2, 1/2, 5/6, 1/6)"
+PINNED_AT_K4 = {
+    ("k5", "star-disc"): (_K5_DISC, f"open anchored box upper=({_K5_CORNER})", "deficit", 5764801),
+    ("k5", "box-disc"): (
+        "401761478270509541172805101174925557760000000000000000/"
+        "404640831615706761108219712511112692526151529213987841",
+        f"open box {_ORIGIN} upper=({_K5_BOX_CORNER})",
+        "deficit",
+        2821109907456,
+    ),
+    ("k5", "empty-star"): (
+        "1/65536", "open anchored box upper=(1/16, 1, 1/8, 1/2, 1/4, 1/4, 1/2, 1/8)", None, 928
+    ),
+    ("k5", "empty-box"): (_K5_DISC, f"open box {_ORIGIN} upper=({_K5_CORNER})", None, 154),
+    ("k5", "bichromatic"): ("5", _K5_CLIQUE_BOX, None, 196040),
+    ("k5", "redblue"): ("71", _K5_CLIQUE_BOX, "excess", 168617),
+    ("k4-free", "star-disc"): (
+        _FREE_DISC, f"open anchored box upper=({_FREE_CORNER})", "deficit", 5764801
+    ),
+    ("k4-free", "box-disc"): (
+        "386856262276681335905976320000000000000000000000000000000000/"
+        "388916582141570377473836862274755295163349098059531632694401",
+        f"open box {_ORIGIN} upper=({_FREE_BOX_CORNER})",
+        "deficit",
+        2821109907456,
+    ),
+    ("k4-free", "empty-star"): (
+        "1/131072", "open anchored box upper=(1/32, 1, 1/16, 1, 1/4, 1/4, 1, 1/16)", None, 1860
+    ),
+    ("k4-free", "empty-box"): (_FREE_DISC, f"open box {_ORIGIN} upper=({_FREE_CORNER})", None, 590),
+    ("k4-free", "bichromatic"): ("4", _FREE_BEST_BOX, None, 268605),
+    ("k4-free", "redblue"): ("94", _FREE_BEST_BOX, "excess", 180209),
+}
 
-    pinned = {
-        K5_TEXT: (F(1, 65536), "1/16 1 1/8 1/2 1/4 1/4 1/2 1/8"),
-        K4_FREE_TEXT: (F(1, 131072), "1/32 1 1/16 1 1/4 1/4 1 1/16"),
-    }
-    for text, (volume, upper) in pinned.items():
-        path = tmp_path / "g.txt"
-        path.write_text(text)
-        inst = cli._GADGETS["empty-star"](read_graph(path), 4, None, False)
-        rep = solve_max_empty_star(inst.points)
-        assert rep.volume == volume
-        assert rep.witness == AnchoredBox(tuple(map(F, upper.split())), closed=False)
+
+@pytest.mark.parametrize("graph, kind", list(PINNED_AT_K4))
+def test_box_reports_are_pinned_at_k4(graph, kind, tmp_path):
+    from discrepancy import solvers
+
+    path = tmp_path / "g.txt"
+    path.write_text({"k5": K5_TEXT, "k4-free": K4_FREE_TEXT}[graph])
+    inst = cli._GADGETS[kind](read_graph(path), 4, None, False)
+    solver, field, _ = cli._BOXES[inst.problem]
+    rep = getattr(solvers, solver)(inst.points)
+    got = (
+        str(getattr(rep, field)),
+        cli._witness_text(rep.witness),
+        getattr(rep, "side", None),
+        rep.candidates_evaluated,
+    )
+    assert got == PINNED_AT_K4[graph, kind]
 
 
 def test_halfspace_search_is_pinned_at_k4(tmp_path):
@@ -467,3 +530,26 @@ def test_halfspace_subset_projection_over_the_cap_exits_two(k3_file, tmp_path, c
     assert cli.main(["solve", str(out), "--m", "5"]) == 2
     assert perf_counter() - t0 < 5
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oversized_gadget_exits_two_before_building(k3_file, tmp_path, monkeypatch, capsys):
+    """A gadget of more than `gadgets.MAX_GADGET_POINTS` points is refused
+    from its closed-form count: no bad vertex pair or point is built."""
+    from discrepancy import gadgets
+
+    def unreachable(*args):
+        raise AssertionError("a refused gadget was built")
+
+    for name in ("_bad_vertex_pairs", "_kill_points", "_embed"):
+        monkeypatch.setattr(gadgets, name, unreachable)
+    big = tmp_path / "big.txt"
+    big.write_text("1000000 0\n")
+    out = str(tmp_path / "out.json")
+    for kind in cli._GADGETS:
+        for graph, k in ((str(big), "2"), (k3_file, "100000")):
+            for command, rest in (("gadget", ["-o", out]), ("verify", [])):
+                argv = [command, "--type", kind, "--graph", graph, "-k", k, *rest]
+                assert cli.main(argv) == 2, argv
+                err = capsys.readouterr().err
+                assert err.startswith("error: gadget would have "), err
+                assert err.endswith(" points, more than the limit of 100000\n"), err

@@ -73,7 +73,7 @@ def test_bichromatic_empty_graph_kills_every_pair(empty2):
 def test_normalized_coordinates_inside_unit_cube():
     for name, g in graphs_up_to(4):
         inst = build_bichromatic_gadget(g, 2)
-        assert inst.points.in_unit_cube(), name
+        assert all(0 <= c <= 1 for p in inst.points.points for c in p.coords), name
         assert inst.points.dim == 4
 
 
@@ -343,6 +343,24 @@ def test_all_gadgets_recompute_weight_and_dimension():
             inst = build(g, 2)
             assert inst.points.total_weight == inst.params.N, (name, inst.problem)
             assert inst.points.dim == 2 * inst.params.k, (name, inst.problem)
+
+
+def test_point_count_limit_is_the_built_count(monkeypatch):
+    """The closed-form count that MAX_GADGET_POINTS bounds is exactly the
+    number of points each gadget type builds: a limit one below refuses it,
+    naming the count."""
+    from discrepancy import gadgets
+
+    for name, g in graphs_up_to(4):
+        for k in (2, 3):
+            for kind, build in _PINNED_BUILDS.items():
+                monkeypatch.undo()
+                n_points = len(build(g, k)[0].points)
+                monkeypatch.setattr(gadgets, "MAX_GADGET_POINTS", n_points - 1)
+                with pytest.raises(ValueError, match=f"would have {n_points} points"):
+                    build(g, k)
+                monkeypatch.setattr(gadgets, "MAX_GADGET_POINTS", n_points)
+                assert len(build(g, k)[0].points) == n_points, (name, k, kind)
 
 
 def test_graph_classes_up_to_five_vertices():

@@ -554,6 +554,65 @@ def test_integer_row_matches_the_fraction_formula():
         assert {type(e) for e in (*got[0], got[1])} == {int}
 
 
+def test_grid_is_the_fraction_grid_in_integers(monkeypatch):
+    """`_grid` against the `Fraction` definition: on 600 seeded sets with
+    negative, duplicate and large-denominator coordinates, and empty sets,
+    for each wall choice, ints[j] is the sorted distinct coordinates and
+    walls times D_j, the lcm of the coordinates' denominators, then a 0;
+    the ranks index it, and every entry is an int, also as the six box
+    solvers call it."""
+    from math import lcm
+
+    from discrepancy import solvers
+
+    rng = random.Random(20)
+    denominators = (1, 2, 3, 7, 12, 2**61 - 1, 2**64)
+
+    def coord():
+        roll = rng.random()
+        if roll < 0.4:
+            return F(rng.randint(0, 8), 8)
+        c = F(rng.randint(0, 2**64), rng.choice((rng.randint(1, 2**64), *denominators)))
+        return -c if roll > 0.85 else c
+
+    for _ in range(600):
+        d, n = rng.randint(1, 4), rng.randint(0, 8)
+        pts = [WeightedPoint(tuple(coord() for _ in range(d))) for _ in range(n)]
+        ps = PointSet(d, tuple(pts + pts[: rng.randint(0, n)]))
+        for walls in ((), (1,), (0, 1)):
+            ints, scales, ranks = solvers._grid(ps, walls)
+            assert len(ints) == len(scales) == d and len(ranks) == len(ps.points)
+            for j, (x, den) in enumerate(zip(ints, scales)):
+                coords = {p.coords[j] for p in ps.points}
+                assert den == lcm(*(c.denominator for c in coords))
+                values = sorted(coords | {F(w) for w in walls})
+                assert x == [v * den for v in values] + [0]
+                assert {type(v) for v in (*x, den)} == {int}
+                assert [values[rk[j]] for rk in ranks] == [p.coords[j] for p in ps.points]
+
+    grid, walls_seen = solvers._grid, set()
+
+    def checked(ps, walls):
+        ints, scales, ranks = grid(ps, walls)
+        assert {type(v) for x in ints for v in x} == {int}, walls
+        walls_seen.add(walls)
+        return ints, scales, ranks
+
+    monkeypatch.setattr(solvers, "_grid", checked)
+    ps = point_set(2, [((F(1, 3), F(1, 2)), "blue", 1), ((F(2, 3), 1), "red", 2), ((0, 0), "blue", 1)])
+    for solve in (
+        solve_star_discrepancy,
+        solve_box_discrepancy,
+        solve_max_empty_star,
+        solve_max_empty_box,
+        solve_bichromatic_box,
+        lambda ps: solve_bichromatic_box(ps, anchored=True),
+        solve_redblue_box_discrepancy,
+    ):
+        solve(ps)
+    assert walls_seen == {(), (1,), (0, 1)}
+
+
 def test_worker_counts_do_not_change_output():
     rng = random.Random(41)
     for _ in range(6):
