@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from .geometry import BLUE, ONE, RED, ZERO, Point, PointSet
+from .geometry import BLUE, RED, ZERO, Point, PointSet, critical_grid
 
 # Soft guard rails (points, dimension) for the grid enumerations.
 ANCHORED_LIMIT = (20, 4)
@@ -103,18 +103,6 @@ def separable_subset(blues: Sequence[Point], reds: Sequence[Point]) -> bool:
 # Unpruned grid enumerations.
 
 
-def _grid(points, d, with_zero, with_one):
-    dims = []
-    for j in range(d):
-        vals = {p[0][j] for p in points}
-        if with_zero:
-            vals.add(ZERO)
-        if with_one:
-            vals.add(ONE)
-        dims.append(sorted(vals))
-    return dims
-
-
 def _guard(ps: PointSet, anchored: bool) -> None:
     limit_pts, limit_dim = ANCHORED_LIMIT if anchored else FREE_LIMIT
     if len(ps.points) > limit_pts or ps.dim > limit_dim:
@@ -125,7 +113,7 @@ def _guard(ps: PointSet, anchored: bool) -> None:
 
 
 def _prepared(ps: PointSet):
-    """Points as (coords, weight, color); ranks per dimension for comparisons."""
+    """Points as (coords, weight, color) tuples."""
     return [(p.coords, p.weight, p.color) for p in ps.points]
 
 
@@ -136,29 +124,29 @@ def naive_range_enumerate(ps: PointSet, problem: str):
     bichromatic-box, redblue-disc.  Values are Fractions for the continuous
     and volume problems, ints for the combinatorial ones.
     """
-    if problem in ("star-disc", "empty-star"):
-        _guard(ps, anchored=True)
-    else:
-        _guard(ps, anchored=False)
+    anchored = problem in ("star-disc", "empty-star")
+    _guard(ps, anchored)
     pts = _prepared(ps)
-    d = ps.dim
+    # Free boxes take faces on the 0 and 1 walls too, anchored ones on the 1
+    # wall, and the majority-color problems on neither.
+    with_zero = problem in ("box-disc", "empty-box")
+    grid = critical_grid(ps, with_zero, with_zero or anchored).values
     if problem == "star-disc":
-        return _naive_star_disc(pts, d, ps.total_weight)
+        return _naive_star_disc(pts, grid, ps.total_weight)
     if problem == "box-disc":
-        return _naive_box_disc(pts, d, ps.total_weight)
+        return _naive_box_disc(pts, grid, ps.total_weight)
     if problem == "empty-star":
-        return _naive_empty_star(pts, d)
+        return _naive_empty_star(pts, grid)
     if problem == "empty-box":
-        return _naive_empty_box(pts, d)
+        return _naive_empty_box(pts, grid)
     if problem == "bichromatic-box":
-        return _naive_bichromatic(pts, d)
+        return _naive_bichromatic(pts, grid)
     if problem == "redblue-disc":
-        return _naive_redblue(pts, d)
+        return _naive_redblue(pts, grid)
     raise ValueError(f"unknown problem: {problem}")
 
 
-def _naive_star_disc(pts, d, weight):
-    grid = _grid(pts, d, with_zero=False, with_one=True)
+def _naive_star_disc(pts, grid, weight):
     best = None
     for corner in product(*grid):
         vol = Fraction(1)
@@ -172,18 +160,16 @@ def _naive_star_disc(pts, d, weight):
     return best
 
 
-def _iter_boxes(grid, d):
+def _iter_boxes(grid):
     per_dim = []
-    for j in range(d):
-        vals = grid[j]
+    for vals in grid:
         per_dim.append([(a, b) for ai, a in enumerate(vals) for b in vals[ai:]])
     return product(*per_dim)
 
 
-def _naive_box_disc(pts, d, weight):
-    grid = _grid(pts, d, with_zero=True, with_one=True)
+def _naive_box_disc(pts, grid, weight):
     best = None
-    for sides in _iter_boxes(grid, d):
+    for sides in _iter_boxes(grid):
         vol = Fraction(1)
         for a, b in sides:
             vol *= b - a
@@ -199,10 +185,9 @@ def _naive_box_disc(pts, d, weight):
     return best
 
 
-def _naive_empty_star(pts, d):
+def _naive_empty_star(pts, grid):
     if not pts:
         return Fraction(1)
-    grid = _grid(pts, d, with_zero=False, with_one=True)
     best = Fraction(0)
     for corner in product(*grid):
         if any(all(ci < xi for ci, xi in zip(c, corner)) for c, _, _ in pts):
@@ -215,12 +200,11 @@ def _naive_empty_star(pts, d):
     return best
 
 
-def _naive_empty_box(pts, d):
+def _naive_empty_box(pts, grid):
     if not pts:
         return Fraction(1)
-    grid = _grid(pts, d, with_zero=True, with_one=True)
     best = Fraction(0)
-    for sides in _iter_boxes(grid, d):
+    for sides in _iter_boxes(grid):
         if any(all(a < ci < b for ci, (a, b) in zip(c, sides)) for c, _, _ in pts):
             continue
         vol = Fraction(1)
@@ -231,10 +215,9 @@ def _naive_empty_box(pts, d):
     return best
 
 
-def _naive_bichromatic(pts, d):
-    grid = _grid(pts, d, with_zero=False, with_one=False)
+def _naive_bichromatic(pts, grid):
     best = 0
-    for sides in _iter_boxes(grid, d):
+    for sides in _iter_boxes(grid):
         blue = red = 0
         for c, w, color in pts:
             if all(a <= ci <= b for ci, (a, b) in zip(c, sides)):
@@ -247,10 +230,9 @@ def _naive_bichromatic(pts, d):
     return best
 
 
-def _naive_redblue(pts, d):
-    grid = _grid(pts, d, with_zero=False, with_one=False)
+def _naive_redblue(pts, grid):
     best = 0
-    for sides in _iter_boxes(grid, d):
+    for sides in _iter_boxes(grid):
         blue = red = 0
         for c, w, color in pts:
             if all(a <= ci <= b for ci, (a, b) in zip(c, sides)):

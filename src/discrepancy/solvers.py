@@ -80,16 +80,16 @@ witness is independent of traversal order.
 Determinism: among all optimal candidates the solver reports the one with
 the lexicographically smallest witness key (lower ranks, then upper ranks,
 then the side: excess before deficit on a full tie).  Below a measured
-crossover in `grid_cells`, or where no pool can be forked, a solve is one
-scan in this process, so its report is the 1-worker report for any worker
-count.  Above it, a forked pool partitions the first dimension's
-candidates, solves the partitions independently, and merges them with the
-same comparison, so value, witness and side are still identical.
-`candidates_evaluated` is too for star and box discrepancy (the grid size
-in closed form) and the empty star (its maximal empty orthants); for
-pooled empty-box and majority scans it counts scored leaves, which depend
-on the partition.  Partitions never outnumber the CPUs, nor, for the
-continuous box scans, the first-dimension open intervals.
+crossover in the grid size, which `_cells` reads off `_grid`'s ranks, or
+where no pool can be forked, a solve is one scan in this process, so its
+report is the 1-worker report for any worker count.  Above it, a forked
+pool partitions the first dimension's candidates, solves the partitions
+independently, and merges them with the same comparison, so value, witness
+and side are still identical.  `candidates_evaluated` is too for star and
+box discrepancy (that grid size) and the empty star (its maximal empty
+orthants); for pooled empty-box and majority scans it counts scored leaves,
+which depend on the partition.  Partitions never outnumber the CPUs, nor,
+for the continuous box scans, the first-dimension open intervals.
 """
 
 from __future__ import annotations
@@ -121,9 +121,13 @@ Witness = Union[AnchoredBox, Box, HalfSpace, None]
 # search (k = 3, m = 4, 13 distinct blues) projects 1,092.
 MAX_HALFSPACE_SUBSETS = 100_000
 
-# Per scan mode, the `grid_cells` above which partitions run faster in a
-# forked pool than in-process; measured on a 2-vCPU VM (ROADMAP item 3).
-# "empty" is the empty box: the empty star never forks.
+# Most dimensions a box scan takes: both kernels recurse once per dimension,
+# far below the default recursion limit of 1,000 even in a forked worker.
+MAX_SCAN_DIM = 256
+
+# Per scan mode, the grid size (`_cells`) above which partitions run faster
+# in a forked pool than in-process; measured on a 2-vCPU VM (ROADMAP item
+# 3).  "empty" is the empty box: the empty star never forks.
 _FORK_CELLS = {"disc": 2_000_000, "empty": 30_000_000, "majority": 150_000_000}
 
 
@@ -210,31 +214,41 @@ def _merge(results):
     return best, cands
 
 
+def _cells(ints, ranks, anchored: bool, walls: bool = True) -> int:
+    """Closed-form size of a scan's definitional grid on `_grid`'s output,
+    a product over the dimensions of the n upper faces of an anchored box,
+    else of the n(n - 1)/2 pairs lo < hi and the c pairs lo = hi on the c
+    distinct `ranks`: a wall on no point's rank never pairs with itself.
+    The n faces are every grid rank with `walls` (a box scan), else the c."""
+    total = 1
+    for j, x in enumerate(ints):
+        c = len({rk[j] for rk in ranks})
+        n = len(x) - 1 if walls else c
+        total *= n if anchored else n * (n - 1) // 2 + c
+    return total
+
+
 def grid_cells(ps: PointSet, anchored: bool, colors=()) -> int:
-    """Closed-form size of a scan's definitional grid, a product over the
-    dimensions: of the upper-face choices for an anchored box, else of the
-    lower-upper pairs less the c(c-1)/2 pairs of its c coordinates in the
-    wrong order.  The box scan's faces are the coordinates plus 0 (lower) and
-    1 (upper); with `colors`, the majority scan's are that color's
-    coordinates, and the sizes are summed over the colors."""
-
-    def choices(coords):
-        c = len(coords)
-        lows = c + (not colors and ZERO not in coords)
-        highs = c + (not colors and ONE not in coords)
-        return highs if anchored else lows * highs - c * (c - 1) // 2
-
-    groups = [ps.colored(color) for color in colors] or [ps.points]
-    return sum(prod(choices({p.coords[j] for p in g}) for j in range(ps.dim)) for g in groups)
+    """`_cells` of the grid that a scan of `ps` runs on: the box scan's, or
+    with `colors` the majority scan's of each color, summed.  Coordinates
+    outside [0,1] are counted by the same closed form, not refused."""
+    ints, _, ranks = _grid(ps, () if colors else (1,) if anchored else (0, 1))
+    if not colors:
+        return _cells(ints, ranks, anchored)
+    held = [[rk for rk, p in zip(ranks, ps.points) if p.color == c] for c in colors]
+    return sum(_cells(ints, rks, anchored, False) for rks in held)
 
 
-def _run_scan(scan, args, workers: int, mode: str, *grid):
+def _run_scan(scan, args, workers: int, mode: str, cells: int):
     """`scan` over `workers` partitions of its first dimension, at most the
-    CPU count, in a forked pool above the crossover of `grid_cells(*grid)`
+    CPU count, in a forked pool when the grid's `cells` pass the crossover
     for `mode`; else, or where no pool can be forked, as one partition in
-    this process."""
+    this process.  Raises ValueError, before any scan, when the scan's
+    `ints` (args[1]) span more than MAX_SCAN_DIM dimensions."""
+    if len(args[1]) > MAX_SCAN_DIM:
+        raise ValueError(f"box scans take at most {MAX_SCAN_DIM} dimensions, got {len(args[1])}")
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and grid_cells(*grid) > _FORK_CELLS[mode]:
+    if workers > 1 and cells > _FORK_CELLS[mode]:
         try:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -439,21 +453,21 @@ def _max_empty_star(pts, ints):
     ((volume, (-1,) * d + u), orthants).  `boxes` maps upper ranks u to u
     packed, rank j in bits [j * w, (j + 1) * w) under a guard bit that
     x - pack(p) keeps iff p_j <= u_j, and to a blocker mask per face, in
-    `_below`'s bits plus a `wall` bit in every slab.  Cuts never repeat a
-    box (one maximal box would hold another), and a cut at j = 0 is final,
-    as the points go in lexicographic order."""
+    `_below`'s bits: bit 0 is the wall, a virtual point of rank -1 in every
+    slab that blocks each face at 1, and bit i the i-th point.  Cuts never
+    repeat a box (one maximal box would hold another), and a cut at j = 0
+    is final, as the points go in lexicographic order."""
     d = len(ints)
     pts = sorted({p[:d] for p in pts})
-    wall = 1 << len(pts)
-    below = [[m | wall for m in _below([p[j] for p in pts], len(x) - 1)] for j, x in enumerate(ints)]
+    below = [_below([-1] + [p[j] for p in pts], len(x) - 1) for j, x in enumerate(ints)]
     top = tuple(len(x) - 2 for x in ints)
     w = max(top).bit_length() + 2
     shifts = range(0, d * w, w)
     guards = sum(1 << (s + w - 1) for s in shifts)
     ones = sum(1 << s for s in shifts)
-    boxes = {top: (guards + sum(map(lshift, top, shifts)), [wall] * d)}
+    boxes = {top: (guards + sum(map(lshift, top, shifts)), [1] * d)}
     done = []
-    for i, p in enumerate(pts):
+    for i, p in enumerate(pts, 1):
         bit = 1 << i
         at = sum(map(lshift, p, shifts))
         for u, (x, bl) in list(boxes.items()):
@@ -503,12 +517,13 @@ def _solve_boxes(ps: PointSet, anchored: bool, empty: bool, workers: int):
     workers = min(workers, r if anchored else r * (r - 1) // 2)
     pts = [rk + (p.weight * scale,) for rk, p in zip(ranks, ps.points)]
     weight = 1 if empty else ps.total_weight
+    cells = None if empty and anchored else _cells(ints, ranks, anchored)
     if empty and anchored:
         runs = [_max_empty_star(pts, ints)]
     elif empty:
-        runs = _run_scan(_scan_open, (pts, ints, False, None, None), workers, "empty", ps, False)
+        runs = _run_scan(_scan_open, (pts, ints, False, None, None), workers, "empty", cells)
     else:
-        runs = _run_scan(_scan_disc, (pts, ints, anchored, weight), workers, "disc", ps, anchored)
+        runs = _run_scan(_scan_disc, (pts, ints, anchored, weight), workers, "disc", cells)
     (num, key), cands = _merge(runs)
     value = Fraction(num, scale * weight)
     lower, upper = _faces(ints, scales, key)
@@ -517,7 +532,7 @@ def _solve_boxes(ps: PointSet, anchored: bool, empty: bool, workers: int):
     if empty:
         return EmptyBoxReport(value, witness, cands, perf_counter() - t0)
     side = "excess" if excess else "deficit"
-    return DiscrepancyReport(value, witness, side, grid_cells(ps, anchored), perf_counter() - t0)
+    return DiscrepancyReport(value, witness, side, cells, perf_counter() - t0)
 
 
 def solve_star_discrepancy(ps: PointSet, workers: int = 1) -> DiscrepancyReport:
@@ -547,9 +562,9 @@ def _solve_majority(ps, ints, ranks, major, penalty, anchored, init_best, worker
     a point of the other color -penalty * w and an uncolored point 0."""
     score = {major: 1, RED if major == BLUE else BLUE: -penalty, None: 0}
     pts = [rk + (score[p.color] * p.weight,) for rk, p in zip(ranks, ps.points)]
+    cells = _cells(ints, [rk for rk, p in zip(ranks, ps.points) if p.color == major], anchored, False)
     args = (pts, ints, anchored, 0, init_best)
-    grid = (ps, anchored, (major,))
-    return _merge(_run_scan(_scan_closed, args, workers, "majority", *grid))
+    return _merge(_run_scan(_scan_closed, args, workers, "majority", cells))
 
 
 def solve_bichromatic_box(

@@ -553,3 +553,30 @@ def test_oversized_gadget_exits_two_before_building(k3_file, tmp_path, monkeypat
                 err = capsys.readouterr().err
                 assert err.startswith("error: gadget would have "), err
                 assert err.endswith(" points, more than the limit of 100000\n"), err
+
+
+def test_box_scans_above_the_dimension_bound_exit_two(edge_file, tmp_path, capsys):
+    """One point in MAX_SCAN_DIM + 1 dimensions: the five problems that run
+    a recursive box scan exit 2 and name the limit, before any scan; the
+    empty star, which does not recurse, still solves."""
+    from discrepancy.solvers import MAX_SCAN_DIM
+
+    d = MAX_SCAN_DIM + 1
+
+    def instance(kind, color=None):
+        path = tmp_path / f"{kind}.json"
+        cli.main(["gadget", "--type", kind, "--graph", edge_file, "-k", "2", "-o", str(path)])
+        doc = json.loads(path.read_text())
+        point = {"coords": ["1/2"] * d, "weight": 1}
+        doc["dim"], doc["points"] = d, [dict(point, color=color) if color else point]
+        return doc
+
+    for kind in ("star-disc", "box-disc", "empty-box", "bichromatic", "redblue"):
+        doc = instance(kind, "blue" if kind in ("bichromatic", "redblue") else None)
+        err = _solve_error(tmp_path, doc, capsys)
+        assert f"at most {MAX_SCAN_DIM} dimensions, got {d}" in err, kind
+    path = tmp_path / "es.json"
+    path.write_text(json.dumps(instance("empty-star")))
+    capsys.readouterr()
+    assert cli.main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1/2"

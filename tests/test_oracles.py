@@ -85,3 +85,16 @@ def test_naive_unknown_problem():
     ps = point_set(1, [((F(1, 2),), None, 1)])
     with pytest.raises(ValueError, match="unknown problem"):
         naive_range_enumerate(ps, "nonsense")
+
+
+def test_oracles_share_no_code_with_the_solvers():
+    """The oracles take nothing from `solvers` or `separation`, and the
+    solvers never build the naive side's `critical_grid`."""
+    from types import ModuleType
+
+    from discrepancy import oracles, solvers
+
+    for name, value in vars(oracles).items():
+        origin = value.__name__ if isinstance(value, ModuleType) else getattr(value, "__module__", None)
+        assert origin not in ("discrepancy.solvers", "discrepancy.separation"), name
+    assert "critical_grid" not in vars(solvers)

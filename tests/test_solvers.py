@@ -988,12 +988,27 @@ def test_worker_counts_keep_the_one_worker_report(monkeypatch):
 
 
 def test_grid_cells_counts_face_choices():
+    """`grid_cells` against the face choices counted in `Fraction`s, on
+    random sets, on sets whose coordinates mix the denominators 2, 3, 5 and
+    64 within a dimension, and on empty sets.  Outside the unit cube it
+    counts by the same closed form rather than refusing: every pair of
+    distinct grid values and one pair per distinct coordinate."""
     from discrepancy.solvers import grid_cells
 
     rng = random.Random(61)
-    for _ in range(40):
-        d = rng.randint(1, 3)
-        ps = _random_colored(rng, d, rng.randint(1, 6), denom=3)
+
+    def mixed(d, n):
+        return PointSet(d, tuple(
+            WeightedPoint(tuple(F(rng.randint(0, q), q) for q in rng.choices((2, 3, 5, 64), k=d)),
+                          rng.choice(("red", "blue")))
+            for _ in range(n)
+        ))
+
+    sets = [_random_colored(rng, rng.randint(1, 3), rng.randint(1, 6), denom=3) for _ in range(40)]
+    sets += [mixed(rng.randint(1, 3), rng.randint(1, 8)) for _ in range(40)]
+    sets += [PointSet(d, ()) for d in (1, 2, 3)]
+    for ps in sets:
+        d = ps.dim
         free = anchored = 1
         blue_pairs = blue_uppers = 1
         for j in range(d):
@@ -1007,6 +1022,12 @@ def test_grid_cells_counts_face_choices():
         assert grid_cells(ps, False) == free
         assert grid_cells(ps, False, ("blue",)) == blue_pairs
         assert grid_cells(ps, True, ("blue",)) == blue_uppers
+    # (coordinates, free, anchored) with coordinates outside the cube.
+    for coords, free, anchored in (((F(-1, 2),), 4, 2), ((F(3, 2),), 4, 2), ((F(-1), F(1)), 5, 2)):
+        ps = PointSet(1, tuple(WeightedPoint((c,), "blue") for c in coords))
+        assert (grid_cells(ps, False), grid_cells(ps, True)) == (free, anchored), coords
+        n = len(coords)
+        assert grid_cells(ps, False, ("blue",)) == n * (n + 1) // 2
 
 
 def test_rank_masks_select_each_slab_and_groups_total_it():
