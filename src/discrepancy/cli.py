@@ -193,10 +193,19 @@ def _projected_candidates(problem: str, ps: PointSet) -> int:
 BENCH_HEADER = ("problem", "d", "n_points", "candidates_evaluated", "elapsed_ms", "status")
 
 
-def bench_scaling(problem: str, dims, sizes, seed: int = 0, cutoff: int = 2_000_000):
+def bench_scaling(problem: str, dims, sizes, seed: int, cutoff: int):
     """One row per (d, n): exact candidate count and wall time after one
     warm-up run; rows whose projected candidate count exceeds the cutoff
-    are marked skipped instead of burning CI time."""
+    are marked skipped instead of burning CI time.  Raises ValueError,
+    before any set is built, on a dimension outside 1..MAX_SCAN_DIM or a
+    size outside 1..MAX_GADGET_POINTS."""
+    for name, values, top in (
+        ("dimension", dims, solvers.MAX_SCAN_DIM),
+        ("size", sizes, gadgets.MAX_GADGET_POINTS),
+    ):
+        for v in values:
+            if not 1 <= v <= top:
+                raise ValueError(f"bench {name} must be between 1 and {top}, got {v}")
     rng = random.Random(seed)
     colored = problem in ("bichromatic-box", "redblue-disc")
     rows = []

@@ -79,13 +79,14 @@ witness is independent of traversal order.
 
 Determinism: among all optimal candidates the solver reports the one with
 the lexicographically smallest witness key (lower ranks, then upper ranks,
-then the side: excess before deficit on a full tie).  Below a measured
-crossover in the grid size, which `_cells` reads off `_grid`'s ranks, or
-where no pool can be forked, a solve is one scan in this process, so its
-report is the 1-worker report for any worker count.  Above it, a forked
-pool partitions the first dimension's candidates, solves the partitions
-independently, and merges them with the same comparison, so value, witness
-and side are still identical.  `candidates_evaluated` is too for star and
+then the side: excess before deficit on a full tie).  `_run_scan` is the
+one owner of partitions.  Below its scan's measured crossover in the grid
+size, which `_cells` reads off `_grid`'s ranks, or where no pool can be
+forked, a solve is one scan in this process, so its report is the 1-worker
+report for any worker count.  Above it, a forked pool partitions the first
+dimension's candidates, solves the partitions independently, and
+`_run_scan` merges them with the same comparison, so value, witness and
+side are still identical.  `candidates_evaluated` is too for star and
 box discrepancy (that grid size) and the empty star (its maximal empty
 orthants); for pooled empty-box and majority scans it counts scored leaves,
 which depend on the partition.  Partitions never outnumber the CPUs, nor,
@@ -124,11 +125,6 @@ MAX_HALFSPACE_SUBSETS = 100_000
 # Most dimensions a box scan takes: both kernels recurse once per dimension,
 # far below the default recursion limit of 1,000 even in a forked worker.
 MAX_SCAN_DIM = 256
-
-# Per scan mode, the grid size (`_cells`) above which partitions run faster
-# in a forked pool than in-process; measured on a 2-vCPU VM (ROADMAP item
-# 3).  "empty" is the empty box: the empty star never forks.
-_FORK_CELLS = {"disc": 2_000_000, "empty": 30_000_000, "majority": 150_000_000}
 
 
 @dataclass(frozen=True)
@@ -202,18 +198,6 @@ def _require_nonempty(ps: PointSet) -> None:
         raise ValueError("empty point set")
 
 
-def _merge(results):
-    best = None
-    cands = 0
-    for b, c in results:
-        cands += c
-        if b is None:
-            continue
-        if best is None or b[0] > best[0] or (b[0] == best[0] and b[1] < best[1]):
-            best = b
-    return best, cands
-
-
 def _cells(ints, ranks, anchored: bool, walls: bool = True) -> int:
     """Closed-form size of a scan's definitional grid on `_grid`'s output,
     a product over the dimensions of the n upper faces of an anchored box,
@@ -239,16 +223,19 @@ def grid_cells(ps: PointSet, anchored: bool, colors=()) -> int:
     return sum(_cells(ints, rks, anchored, False) for rks in held)
 
 
-def _run_scan(scan, args, workers: int, mode: str, cells: int):
+def _run_scan(scan, args, workers: int, cells: int):
     """`scan` over `workers` partitions of its first dimension, at most the
-    CPU count, in a forked pool when the grid's `cells` pass the crossover
-    for `mode`; else, or where no pool can be forked, as one partition in
-    this process.  Raises ValueError, before any scan, when the scan's
-    `ints` (args[1]) span more than MAX_SCAN_DIM dimensions."""
+    CPU count, in a forked pool when the grid's `cells` pass the scan's
+    crossover in `_FORK_CELLS`; else, or where no pool can be forked, as one
+    partition in this process.  Returns the partitions merged: the highest
+    (value, key), the smallest key on a tie, or None if no partition found
+    one, and the candidates summed.  Raises ValueError, before any scan,
+    when the scan's `ints` (args[1]) span more than MAX_SCAN_DIM dimensions."""
     if len(args[1]) > MAX_SCAN_DIM:
         raise ValueError(f"box scans take at most {MAX_SCAN_DIM} dimensions, got {len(args[1])}")
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and cells > _FORK_CELLS[mode]:
+    runs = None
+    if workers > 1 and cells > _FORK_CELLS[scan]:
         try:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -256,10 +243,12 @@ def _run_scan(scan, args, workers: int, mode: str, cells: int):
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=fork) as pool:
                 futures = [pool.submit(scan, *args, p, workers) for p in range(workers)]
-                return [f.result() for f in futures]
+                runs = [f.result() for f in futures]
         except (OSError, ValueError):
             pass
-    return [scan(*args, 0, 1)]
+    runs = runs or [scan(*args, 0, 1)]
+    found = [b for b, _ in runs if b is not None]
+    return min(found, key=lambda b: (-b[0], b[1]), default=None), sum(c for _, c in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +487,12 @@ def _scan_disc(pts, ints, anchored, weight, part, nparts):
     return _scan_open(pts, ints, anchored, weight, best, part, nparts)
 
 
+# Per scan, the grid size (`_cells`) above which partitions run faster in a
+# forked pool than in-process; measured on a 2-vCPU VM (ROADMAP item 3).
+# `_scan_open` alone is the empty box, `_scan_closed` alone a majority scan.
+_FORK_CELLS = {_scan_disc: 2_000_000, _scan_open: 30_000_000, _scan_closed: 150_000_000}
+
+
 # ---------------------------------------------------------------------------
 # Public solvers.
 
@@ -519,12 +514,11 @@ def _solve_boxes(ps: PointSet, anchored: bool, empty: bool, workers: int):
     weight = 1 if empty else ps.total_weight
     cells = None if empty and anchored else _cells(ints, ranks, anchored)
     if empty and anchored:
-        runs = [_max_empty_star(pts, ints)]
+        (num, key), cands = _max_empty_star(pts, ints)
     elif empty:
-        runs = _run_scan(_scan_open, (pts, ints, False, None, None), workers, "empty", cells)
+        (num, key), cands = _run_scan(_scan_open, (pts, ints, False, None, None), workers, cells)
     else:
-        runs = _run_scan(_scan_disc, (pts, ints, anchored, weight), workers, "disc", cells)
-    (num, key), cands = _merge(runs)
+        (num, key), cands = _run_scan(_scan_disc, (pts, ints, anchored, weight), workers, cells)
     value = Fraction(num, scale * weight)
     lower, upper = _faces(ints, scales, key)
     excess = not empty and not key[-1]
@@ -564,7 +558,7 @@ def _solve_majority(ps, ints, ranks, major, penalty, anchored, init_best, worker
     pts = [rk + (score[p.color] * p.weight,) for rk, p in zip(ranks, ps.points)]
     cells = _cells(ints, [rk for rk, p in zip(ranks, ps.points) if p.color == major], anchored, False)
     args = (pts, ints, anchored, 0, init_best)
-    return _merge(_run_scan(_scan_closed, args, workers, "majority", cells))
+    return _run_scan(_scan_closed, args, workers, cells)
 
 
 def solve_bichromatic_box(
@@ -666,9 +660,8 @@ def solve_bichromatic_halfspace(ps: PointSet, m: int) -> BichromaticReport:
             f"more than the limit of {MAX_HALFSPACE_SUBSETS}"
         )
     blue_rows = [_integer_row(b + (-ONE,), ZERO) for b in blues]
-    # A red's row -r . w + c <= -1 is the negated row of r . w - c <= 1.
-    red_rows = [_integer_row(r + (-ONE,), ONE) for r in red_list]
-    red_rows = [(tuple(-a for a in coeffs), -rhs) for coeffs, rhs in red_rows]
+    # A red's row: -r . w + c <= -1.
+    red_rows = [_integer_row(tuple(-c for c in r) + (ONE,), -ONE) for r in red_list]
     cands = 0
     for size in range(1, min(m, len(blues)) + 1):
         for combo in combinations(range(len(blues)), size):

@@ -200,6 +200,41 @@ def test_box_reports_are_pinned_at_k4(graph, kind, tmp_path):
     assert got == PINNED_AT_K4[graph, kind]
 
 
+def test_k5_box_reports_keep_their_pins_in_a_real_pool(tmp_path, monkeypatch):
+    """The six K5 rows at 2 workers on 2 CPUs, at the real crossovers: each
+    box scan above its crossover forks one real pool (red-blue one per
+    color) and the merged report keeps value, witness and side, and the
+    closed-form candidate counts; the empty star never forks."""
+    import concurrent.futures
+    import os
+
+    from discrepancy import solvers
+
+    pools = []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kind)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = tmp_path / "k5.txt"
+    path.write_text(K5_TEXT)
+    graph = read_graph(path)
+    for (name, kind), pinned in PINNED_AT_K4.items():
+        if name != "k5":
+            continue
+        inst = cli._GADGETS[kind](graph, 4, None, False)
+        solver, field, _ = cli._BOXES[inst.problem]
+        rep = getattr(solvers, solver)(inst.points, workers=2)
+        got = (str(getattr(rep, field)), cli._witness_text(rep.witness), getattr(rep, "side", None))
+        assert got == pinned[:3], kind
+        if kind in ("star-disc", "box-disc", "empty-star"):
+            assert rep.candidates_evaluated == pinned[3], kind
+    assert sorted(pools) == ["bichromatic", "box-disc", "empty-box", "redblue", "redblue", "star-disc"]
+
+
 def test_halfspace_search_is_pinned_at_k4(tmp_path):
     """The k = 4 half-space search on K5, directly and as the eps-net check:
     verdict, exact witness and LP count."""
@@ -322,6 +357,39 @@ def test_bench_rows_and_skip(tmp_path, capsys):
     assert rc == 0
     rows = list(csv.reader(out.open()))
     assert rows[-1][5] == "skipped"
+
+
+def test_bench_bounds_sizes_and_dims_before_building(tmp_path, monkeypatch, capsys):
+    """A dimension outside 1..MAX_SCAN_DIM or a size outside
+    1..MAX_GADGET_POINTS exits 2 and names the limit before any set is
+    built; a row within the bounds still runs."""
+    from discrepancy import gadgets, solvers
+
+    out = tmp_path / "bench.csv"
+
+    def run(dims, sizes):
+        argv = ["bench", "--problem", "star-disc", "--dims", dims, "--sizes", sizes, "-o", str(out)]
+        return cli.main(argv)
+
+    def unreachable(*args):
+        raise AssertionError("a refused bench set was built")
+
+    top_d, top_n = solvers.MAX_SCAN_DIM, gadgets.MAX_GADGET_POINTS
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_random_point_set", unreachable)
+        for dims, sizes, limit in (
+            ("2", "1000000000", f"size must be between 1 and {top_n}, got 1000000000"),
+            ("2", f"4,{top_n + 1}", f"size must be between 1 and {top_n}, got {top_n + 1}"),
+            ("2", "-5", f"size must be between 1 and {top_n}, got -5"),
+            ("2", "0", f"size must be between 1 and {top_n}, got 0"),
+            ("0", "4", f"dimension must be between 1 and {top_d}, got 0"),
+            (f"2,{top_d + 1}", "4", f"dimension must be between 1 and {top_d}, got {top_d + 1}"),
+        ):
+            assert run(dims, sizes) == 2, (dims, sizes)
+            assert capsys.readouterr().err == f"error: bench {limit}\n"
+    assert not out.exists()
+    assert run("1", "1") == 0
+    assert list(csv.reader(out.open()))[1][:3] == ["star-disc", "1", "1"]
 
 
 def test_bench_candidates_match_grid_product(tmp_path):

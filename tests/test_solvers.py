@@ -940,6 +940,43 @@ def test_worker_pool_is_capped(monkeypatch):
     assert _InlinePool.sizes == [4, 4, 2, 3]
 
 
+def test_run_scan_merges_its_partitions(monkeypatch):
+    """Through the pool, `_run_scan` keeps the highest value and, among its
+    ties, the smallest key whichever partition found it; it skips a
+    partition that found nothing and sums every partition's candidates."""
+    import concurrent.futures
+    import os
+
+    from discrepancy import solvers
+
+    runs = [
+        ((5, (0, 0)), 1),
+        ((7, (3, 0)), 10),
+        (None, 100),
+        ((7, (1, 4)), 1000),
+        ((7, (2, 0)), 10000),
+    ]
+
+    def stub(pts, ints, part, nparts):
+        return runs[part] if nparts == len(runs) else (None, nparts)
+
+    monkeypatch.setattr(solvers, "_FORK_CELLS", {stub: 0})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: len(runs))
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    args = ([], [[0]])
+    assert solvers._run_scan(stub, args, len(runs), 1) == ((7, (1, 4)), 11111)
+    runs[1:] = [(None, 2)] * 4
+    assert solvers._run_scan(stub, args, len(runs), 1) == ((5, (0, 0)), 9)
+    runs[0] = (None, 3)
+    assert solvers._run_scan(stub, args, len(runs), 1) == (None, 11)
+    assert _InlinePool.sizes == [5, 5, 5]
+    # One worker, or a grid at the crossover, is one partition in-process.
+    assert solvers._run_scan(stub, args, 1, 1) == (None, 1)
+    assert solvers._run_scan(stub, args, len(runs), 0) == (None, 1)
+    assert _InlinePool.sizes == [5, 5, 5]
+
+
 def test_worker_counts_keep_the_one_worker_report(monkeypatch):
     import concurrent.futures
     import multiprocessing
