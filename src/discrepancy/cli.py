@@ -14,7 +14,6 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from time import perf_counter
 
 from . import gadgets, instances, oracles, solvers
 from .geometry import BLUE, RED, AnchoredBox, Box, HalfSpace, PointSet, WeightedPoint
@@ -194,11 +193,12 @@ BENCH_HEADER = ("problem", "d", "n_points", "candidates_evaluated", "elapsed_ms"
 
 
 def bench_scaling(problem: str, dims, sizes, seed: int, cutoff: int):
-    """One row per (d, n): exact candidate count and wall time after one
-    warm-up run; rows whose projected candidate count exceeds the cutoff
-    are marked skipped instead of burning CI time.  Raises ValueError,
-    before any set is built, on a dimension outside 1..MAX_SCAN_DIM or a
-    size outside 1..MAX_GADGET_POINTS."""
+    """One row per (d, n): exact candidate count and the solver's own wall
+    time after one warm-up run; rows whose projected candidate count exceeds
+    the cutoff are marked skipped instead of burning CI time.  Raises
+    ValueError, before any set is built, on a dimension outside
+    1..MAX_SCAN_DIM, a size outside 1..MAX_GADGET_POINTS, or a d * n above
+    MAX_GADGET_POINTS."""
     for name, values, top in (
         ("dimension", dims, solvers.MAX_SCAN_DIM),
         ("size", sizes, gadgets.MAX_GADGET_POINTS),
@@ -206,6 +206,9 @@ def bench_scaling(problem: str, dims, sizes, seed: int, cutoff: int):
         for v in values:
             if not 1 <= v <= top:
                 raise ValueError(f"bench {name} must be between 1 and {top}, got {v}")
+    d, n, top = max(dims, default=0), max(sizes, default=0), gadgets.MAX_GADGET_POINTS
+    if d * n > top:
+        raise ValueError(f"bench dimension times size must be at most {top}, got {d} * {n}")
     rng = random.Random(seed)
     colored = problem in ("bichromatic-box", "redblue-disc")
     rows = []
@@ -218,10 +221,8 @@ def bench_scaling(problem: str, dims, sizes, seed: int, cutoff: int):
                 continue
             solve = getattr(solvers, _BOXES[problem][0])
             solve(ps)  # warm-up
-            t0 = perf_counter()
-            cands = solve(ps).candidates_evaluated
-            elapsed_ms = (perf_counter() - t0) * 1000.0
-            rows.append((problem, d, n, cands, f"{elapsed_ms:.3f}", "ok"))
+            rep = solve(ps)
+            rows.append((problem, d, n, rep.candidates_evaluated, f"{rep.elapsed * 1000:.3f}", "ok"))
     return rows
 
 

@@ -11,9 +11,11 @@ adjacent vertices, and conversely any k-clique yields such a range.
 
 One helper, `_kill_points`, builds the kill points of every gadget from a
 per-vertex corner, once per unordered plane pair i < j and bad vertex pair.
-So every gadget knows its point count N before it is built, as
-`choose_mu` and the MAX_GADGET_POINTS limit need: its scaffold plus
-C(k,2)|bad pairs|, where |bad pairs| = n + 2(C(n,2) - |E|) counts the
+`_colored_gadget` assembles the box and half-space reductions around them,
+which differ only in where their points sit, and `_tuned_hyperbola` the
+hyperbolic ones.  So every gadget knows its point count N before it is
+built, as `choose_mu` and the MAX_GADGET_POINTS limit need: its scaffold
+plus C(k,2)|bad pairs|, where |bad pairs| = n + 2(C(n,2) - |E|) counts the
 ordered pairs (u, v) with u = v or uv not an edge.
 
 Each builder packages the point set together with all derived constants
@@ -159,6 +161,20 @@ def _kill_points(g: Graph, k: int, corner: dict) -> list[Point]:
     return sorted(points)
 
 
+def _colored_gadget(g: Graph, k: int, blue_at, red_at, kill_at, problem: str, expected) -> GadgetInstance:
+    """The colored reductions' skeleton, every point of weight 1, in this
+    order: the blue origin; in each plane i = 1..k a blue at blue_at[v] per
+    vertex v; in each plane a red at every entry of red_at; then the red
+    kill points of `kill_at`."""
+    planes = range(1, k + 1)
+    blues = [(ZERO,) * (2 * k)] + [_embed(k, i, *blue_at[v]) for i in planes for v in range(1, g.n + 1)]
+    reds = [_embed(k, i, *xy) for i in planes for xy in red_at] + _kill_points(g, k, kill_at)
+    pts = [WeightedPoint(p, BLUE, 1) for p in blues] + [WeightedPoint(p, RED, 1) for p in reds]
+    points = PointSet(2 * k, tuple(pts))
+    params = GadgetParams(k=k, n=g.n, N=points.total_weight)
+    return GadgetInstance(params, points, problem, expected_positive=expected)
+
+
 # ---------------------------------------------------------------------------
 # Box reductions on the diagonal scaffold.
 
@@ -177,18 +193,8 @@ def build_bichromatic_gadget(g: Graph, k: int, normalize: bool = True) -> Gadget
     n = g.n
     scale = Fraction(1, n + 1) if normalize else ONE
     corner = {v: (v * scale, (n + 1 - v) * scale) for v in range(1, n + 1)}
-    blues = [(ZERO,) * (2 * k)]
-    reds = []
-    for i in range(1, k + 1):
-        blues += [_embed(k, i, *corner[v]) for v in range(1, n + 1)]
-        reds += [_embed(k, i, (v + HALF) * scale, (n + HALF - v) * scale) for v in range(1, n)]
-    pts = tuple(
-        [WeightedPoint(p, BLUE, 1) for p in blues]
-        + [WeightedPoint(p, RED, 1) for p in reds + _kill_points(g, k, corner)]
-    )
-    points = PointSet(2 * k, pts)
-    params = GadgetParams(k=k, n=g.n, N=points.total_weight)
-    return GadgetInstance(params, points, "bichromatic-box", expected_positive=k + 1)
+    separators = [((v + HALF) * scale, (n + HALF - v) * scale) for v in range(1, n)]
+    return _colored_gadget(g, k, corner, separators, corner, "bichromatic-box", k + 1)
 
 
 def build_redblue_gadget(g: Graph, k: int, normalize: bool = True) -> GadgetInstance:
@@ -201,11 +207,8 @@ def build_redblue_gadget(g: Graph, k: int, normalize: bool = True) -> GadgetInst
     """
     base = build_bichromatic_gadget(g, k, normalize=normalize)
     n_copies = base.params.N
-    pts = tuple(
-        WeightedPoint(p.coords, p.color, n_copies if all(c == 0 for c in p.coords) else p.weight)
-        for p in base.points.points
-    )
-    points = PointSet(2 * k, pts)
+    origin, *rest = base.points.points  # _colored_gadget puts the blue origin first
+    points = PointSet(2 * k, (WeightedPoint(origin.coords, BLUE, n_copies), *rest))
     params = GadgetParams(k=k, n=g.n, N=points.total_weight)
     return GadgetInstance(params, points, "redblue-disc", expected_positive=n_copies + k)
 
@@ -367,20 +370,9 @@ def build_halfspace_gadget(g: Graph, k: int) -> GadgetInstance:
     n = g.n
     on_circle = {v: circle_point(Fraction(v, n + 1)) for v in range(1, n + 1)}
     separators = [circle_point(Fraction(2 * v + 1, 2 * (n + 1))) for v in range(0, n + 1)]
-    blues = [(ZERO,) * (2 * k)]
-    reds = []
-    for i in range(1, k + 1):
-        blues += [_embed(k, i, *on_circle[v]) for v in range(1, n + 1)]
-        reds += [_embed(k, i, *xy) for xy in separators]
     # The midpoint of two blues in different planes is half of each blue.
     halves = {v: (x / 2, y / 2) for v, (x, y) in on_circle.items()}
-    pts = tuple(
-        [WeightedPoint(p, BLUE, 1) for p in blues]
-        + [WeightedPoint(p, RED, 1) for p in reds + _kill_points(g, k, halves)]
-    )
-    points = PointSet(2 * k, pts)
-    params = GadgetParams(k=k, n=g.n, N=points.total_weight)
-    return GadgetInstance(params, points, "halfspace-bichromatic", expected_positive=k)
+    return _colored_gadget(g, k, on_circle, separators, halves, "halfspace-bichromatic", k)
 
 
 def build_net_instance(g: Graph, k: int, family: str) -> GadgetInstance:

@@ -165,7 +165,11 @@ def write_instance(path: Union[str, Path], inst: GadgetInstance) -> None:
 
 
 def read_instance(path: Union[str, Path]) -> GadgetInstance:
-    return instance_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("instance file nests too deeply") from None
+    return instance_from_doc(doc)
 
 
 def parse_graph(text: str) -> Graph:

@@ -335,6 +335,22 @@ def test_malformed_instance_files_exit_two(edge_file, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_deeply_nested_instance_files_exit_two(edge_file, tmp_path, capsys):
+    """json.loads raises RecursionError, not ValueError, on deep nesting;
+    solve reports it as one error line instead of a traceback."""
+    good = tmp_path / "es.json"
+    cli.main(["gadget", "--type", "empty-star", "--graph", edge_file, "-k", "2", "-o", str(good)])
+    text = good.read_text()
+    assert text.startswith("{")
+    deep = "[" * 100_000 + "]" * 100_000
+    capsys.readouterr()
+    for content in ("[" * 1_000, "[" * 100_000, '{"extra": ' + deep + "," + text[1:]):
+        path = tmp_path / "deep.json"
+        path.write_text(content)
+        assert cli.main(["solve", str(path)]) == 2, content[:20]
+        assert capsys.readouterr().err == "error: instance file nests too deeply\n"
+
+
 def test_bench_rows_and_skip(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = cli.main([
@@ -360,9 +376,10 @@ def test_bench_rows_and_skip(tmp_path, capsys):
 
 
 def test_bench_bounds_sizes_and_dims_before_building(tmp_path, monkeypatch, capsys):
-    """A dimension outside 1..MAX_SCAN_DIM or a size outside
-    1..MAX_GADGET_POINTS exits 2 and names the limit before any set is
-    built; a row within the bounds still runs."""
+    """A dimension outside 1..MAX_SCAN_DIM, a size outside
+    1..MAX_GADGET_POINTS or a d * n above MAX_GADGET_POINTS exits 2 and
+    names the limit before any set is built; a row within the bounds still
+    runs."""
     from discrepancy import gadgets, solvers
 
     out = tmp_path / "bench.csv"
@@ -384,6 +401,7 @@ def test_bench_bounds_sizes_and_dims_before_building(tmp_path, monkeypatch, caps
             ("2", "0", f"size must be between 1 and {top_n}, got 0"),
             ("0", "4", f"dimension must be between 1 and {top_d}, got 0"),
             (f"2,{top_d + 1}", "4", f"dimension must be between 1 and {top_d}, got {top_d + 1}"),
+            (f"3,{top_d}", f"5,{top_n}", f"dimension times size must be at most {top_n}, got {top_d} * {top_n}"),
         ):
             assert run(dims, sizes) == 2, (dims, sizes)
             assert capsys.readouterr().err == f"error: bench {limit}\n"

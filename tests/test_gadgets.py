@@ -396,11 +396,34 @@ GADGET_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("kind", list(GADGET_DIGESTS))
-def test_compiler_output_is_pinned(kind):
+# The same builds at k = 4 (dimension 8).
+GADGET_DIGESTS_K4 = {
+    "bichromatic": "5f2cacc2bcbd0040ceed302171cd353ca1db096f154a1c9118270594bbb0bee8",
+    "redblue": "9789674eea00c20a3f0509ba727f12ce29c9a192e7b858d904619f7b6bbec647",
+    "empty-star": "6e3daf562402f4285ae3aa42f5cfef3f39b4f487a05cca8f89f190a40753e10e",
+    "star-disc": "a6142acb603ebccd1484f900e98b4d0812e4f35482656948e68149156ed4fb57",
+    "empty-box": "ed1c1acfffe4eda28c6c6f27fdfc7cc190b5b531c249fac1aae43aaf214f818d",
+    "box-disc": "becc972be9224562cbce24bbcdc5f36137476f8a21efa28e12e343afff42700f",
+    "halfspace": "d5b6b00a690d1c5c481145b51ba54f04aa036177dc20a59148d8ba6018969c1f",
+    "net-halfspace": "7f403ddffa24aa55dee5c59ed041749d0aab4a73e4b797a3fc864d167d8096c1",
+    "net-box": "25d0387820d58f6d9e979f8971544ec6d53a8b87f08be9f72e8ae22f35cde3b5",
+}
+
+
+def _compiler_digest(kind, ks):
     digest = hashlib.sha256()
     for _, g in graphs_up_to(5):
-        for k in (2, 3):
+        for k in ks:
             for inst in _PINNED_BUILDS[kind](g, k):
                 digest.update(dumps_instance(inst).encode())
-    assert digest.hexdigest() == GADGET_DIGESTS[kind]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", list(GADGET_DIGESTS))
+def test_compiler_output_is_pinned(kind):
+    assert _compiler_digest(kind, (2, 3)) == GADGET_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", list(GADGET_DIGESTS_K4))
+def test_compiler_output_is_pinned_at_k4(kind):
+    assert _compiler_digest(kind, (4,)) == GADGET_DIGESTS_K4[kind]
