@@ -66,6 +66,14 @@ surviving points as an int bitmask: a child is one AND with a rank-slab
 mask built once per scan, and a weight total is one popcount per distinct
 weight, so no node copies or walks a point list.  The empty star uses
 neither, and is never partitioned: see `_max_empty_star`.
+With B = 0 (bichromatic, red-blue, the box eps-net check) a closed
+subtree below depth j depends on j and its surviving mask alone, so
+`_scan_closed` remembers per (depth, mask) the subtree's best (value,
+tail) at or above the incumbent on entry, or None, and reuses it.  This
+is exact as the incumbent only rises within a scan: a None stays None, a
+found best is the subtree's optimum and joins a new prefix as a leaf
+does, and keys with one prefix order like their tails.  With B > 0 the
+volume is part of the state, and repeats are too rare to pay.
 `_grid` is the one conversion from coordinates: it scales dimension j by
 the lcm D_j of its denominators and ranks each point into the sorted
 integers, so volumes are integers over P = prod(D_j), discrepancy values
@@ -88,8 +96,9 @@ dimension's candidates, solves the partitions independently, and
 `_run_scan` merges them with the same comparison, so value, witness and
 side are still identical.  `candidates_evaluated` is too for star and
 box discrepancy (that grid size) and the empty star (its maximal empty
-orthants); for pooled empty-box and majority scans it counts scored leaves,
-which depend on the partition.  Partitions never outnumber the CPUs, nor,
+orthants); for empty-box and majority scans it counts scored leaves (for
+a majority scan, those outside remembered subtrees), which in a pool
+depend on the partition.  Partitions never outnumber the CPUs, nor,
 for the continuous box scans, the first-dimension open intervals.
 """
 
@@ -299,6 +308,11 @@ def _scan_closed(pts, ints, anchored, weight, seed, part, nparts):
     lower face when B > 0 (see the module docstring).  A pair is skipped
     when its positive weight less B times the least volume it can complete
     to is strictly below the incumbent.  Each scored leaf is a candidate.
+    With B = 0, `memo[j]` maps each surviving mask met at depth j to what
+    `rec` returned on it, the subtree's best (value, lo tail, hi tail) at
+    or above the incumbent on entry, or None; a mask met again is not
+    searched or counted again, only its result joined to the new prefix
+    (see the module docstring).  B > 0 scans never read or fill `memo`.
     Returns ((value, key), candidates), key = lo + hi, + (0,) when B > 0.
     """
     d = len(ints)
@@ -317,6 +331,7 @@ def _scan_closed(pts, ints, anchored, weight, seed, part, nparts):
     lo: list = [None] * d
     hi: list = [None] * d
     best, cands = seed, 0
+    memo = None if weight else [{} for _ in range(d)]
 
     def rec(j, vol, cur):
         nonlocal best, cands
@@ -331,7 +346,8 @@ def _scan_closed(pts, ints, anchored, weight, seed, part, nparts):
             pairs = pairs[part::nparts]
         x, c, bel = ints[j], cut[j + 1], below[j]
         last = j == d - 1
-        nvol = vol
+        seen = None if memo is None or last else memo[j + 1]
+        nvol, top = vol, None
         for a, b in pairs:
             inner = cur & (bel[b + 1] ^ bel[a])
             held = v * (inner & g).bit_count()
@@ -344,17 +360,31 @@ def _scan_closed(pts, ints, anchored, weight, seed, part, nparts):
                 continue
             if not last:
                 lo[j], hi[j] = a, b
-                rec(j + 1, nvol, inner)
-                continue
-            cands += 1
-            val = held + nv * (inner & ng).bit_count()
-            if nmore:
-                val += _total(inner, nmore)
-            if best is None or val >= best[0]:
+                if seen is None:
+                    rec(j + 1, nvol, inner)
+                    continue
+                if inner not in seen:
+                    seen[inner] = rec(j + 1, nvol, inner)
+                # A found subtree implies an incumbent.
+                if (sub := seen[inner]) is None or sub[0] < best[0]:
+                    continue
+                val, lt, ht = sub
+                key = tuple(lo[: j + 1]) + lt + tuple(hi[: j + 1]) + ht
+            else:
+                cands += 1
+                val = held + nv * (inner & ng).bit_count()
+                if nmore:
+                    val += _total(inner, nmore)
+                if best is not None and val < best[0]:
+                    continue
                 lo[j], hi[j] = a, b
                 key = tuple(lo) + tuple(hi) + side
-                if best is None or val > best[0] or key < best[1]:
-                    best = (val, key)
+            # Keys under one prefix order like their tails.
+            if memo is not None and (top is None or val > top[0] or key < top[1]):
+                top = (val, key)
+            if best is None or val > best[0] or key < best[1]:
+                best = (val, key)
+        return top and (top[0], top[1][j:d], top[1][d + j :])
 
     rec(0, 1, (1 << len(pts)) - 1)
     return best, cands
@@ -693,9 +723,11 @@ def verify_epsilon_net(
     A violator is a range with total weight at least ceil(eps * W) that
     misses the subset entirely.  Recoloring the subset red and the rest
     blue turns the search for a violator into the corresponding bichromatic
-    problem: a red-free range with blue weight >= ceil(eps * W).
+    problem: a red-free range with blue weight >= ceil(eps * W).  An empty
+    set is refused, as its threshold ceil(eps * 0) = 0 has no meaning.
     """
     t0 = perf_counter()
+    _require_nonempty(ps)
     if len(s_mask) != len(ps.points):
         raise ValueError("subset mask length must match the point list")
     if eps <= 0:

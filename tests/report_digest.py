@@ -9,8 +9,10 @@ ValueError message.
 
 Prints one sha256 over those lines at 1 worker, then a second with every
 crossover in `_FORK_CELLS` at 0 and 2 workers, so each box scan that
-partitions (not the empty star's) runs in a forked 2-worker pool.  Neither
-depends on timing, so two trees can be compared by their digests.  It
+partitions (not the empty star's) runs in a forked 2-worker pool, then a
+third over the lines of both runs without `candidates_evaluated`.  None
+depends on timing, so two trees can be compared by their digests, and a
+change that only counts its candidates differently by the third.  It
 takes about 15 s on 2 CPUs and is named so that pytest does not collect
 it; run it as
 
@@ -79,29 +81,42 @@ def calls(ps, m, mask, eps, workers):
     )
 
 
-def digest(count: int, workers: int) -> tuple[str, int]:
-    lines = []
+def reports(count: int, workers: int) -> list[tuple]:
+    """(case, solver, fields) per call: every report field but `elapsed`,
+    or the ValueError message of a refused input."""
+    rows = []
     for i, (ps, m, mask, eps) in enumerate(random_sets(count)):
         for name, run in calls(ps, m, mask, eps, workers):
             try:
                 rep = run()
             except ValueError as exc:
-                lines.append(f"{i} {name} error: {exc}")
+                rows.append((i, name, f"error: {exc}"))
                 continue
-            fields = {k: v for k, v in vars(rep).items() if k != "elapsed"}
-            lines.append(f"{i} {name} {fields!r}")
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), len(lines)
+            rows.append((i, name, {k: v for k, v in vars(rep).items() if k != "elapsed"}))
+    return rows
+
+
+def digest(rows: list[tuple], skip: tuple = ()) -> str:
+    """sha256 over one line per row, without the report fields in `skip`."""
+    lines = []
+    for i, name, fields in rows:
+        if isinstance(fields, dict):
+            fields = repr({k: v for k, v in fields.items() if k not in skip})
+        lines.append(f"{i} {name} {fields}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def main(count: int) -> int:
-    one, reports = digest(count, 1)
-    print(f"sha256 1-worker {one} over {reports} reports")
+    one = reports(count, 1)
+    print(f"sha256 1-worker {digest(one)} over {len(one)} reports")
     # Every crossover at 0, and two CPUs whatever the machine has, so each
     # partitioned box scan forks a real 2-worker pool.
     _FORK_CELLS.update(dict.fromkeys(_FORK_CELLS, 0))
     os.cpu_count = lambda: 2
-    pooled, reports = digest(count, 2)
-    print(f"sha256 2-worker-pool {pooled} over {reports} reports")
+    pooled = reports(count, 2)
+    print(f"sha256 2-worker-pool {digest(pooled)} over {len(pooled)} reports")
+    both = one + pooled
+    print(f"sha256 values {digest(both, ('candidates_evaluated',))} over {len(both)} reports")
     return 0
 
 

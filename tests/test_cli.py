@@ -161,8 +161,8 @@ PINNED_AT_K4 = {
         "1/65536", "open anchored box upper=(1/16, 1, 1/8, 1/2, 1/4, 1/4, 1/2, 1/8)", None, 928
     ),
     ("k5", "empty-box"): (_K5_DISC, f"open box {_ORIGIN} upper=({_K5_CORNER})", None, 154),
-    ("k5", "bichromatic"): ("5", _K5_CLIQUE_BOX, None, 196040),
-    ("k5", "redblue"): ("71", _K5_CLIQUE_BOX, "excess", 168617),
+    ("k5", "bichromatic"): ("5", _K5_CLIQUE_BOX, None, 94449),
+    ("k5", "redblue"): ("71", _K5_CLIQUE_BOX, "excess", 83964),
     ("k4-free", "star-disc"): (
         _FREE_DISC, f"open anchored box upper=({_FREE_CORNER})", "deficit", 5764801
     ),
@@ -177,8 +177,8 @@ PINNED_AT_K4 = {
         "1/131072", "open anchored box upper=(1/32, 1, 1/16, 1, 1/4, 1/4, 1, 1/16)", None, 1860
     ),
     ("k4-free", "empty-box"): (_FREE_DISC, f"open box {_ORIGIN} upper=({_FREE_CORNER})", None, 590),
-    ("k4-free", "bichromatic"): ("4", _FREE_BEST_BOX, None, 268605),
-    ("k4-free", "redblue"): ("94", _FREE_BEST_BOX, "excess", 180209),
+    ("k4-free", "bichromatic"): ("4", _FREE_BEST_BOX, None, 120503),
+    ("k4-free", "redblue"): ("94", _FREE_BEST_BOX, "excess", 85401),
 }
 
 
@@ -484,6 +484,15 @@ def test_malformed_params_and_in_s_exit_two(k3_file, tmp_path, capsys):
         no_eps = json.loads(good.read_text())
         del no_eps["params"]["eps"]
         assert "eps" in _solve_error(tmp_path, no_eps, capsys), kind
+
+
+def test_empty_net_instances_exit_two(k3_file, tmp_path, capsys):
+    good = tmp_path / "net.json"
+    for kind in ("net-box", "net-halfspace"):
+        cli.main(["gadget", "--type", kind, "--graph", k3_file, "-k", "2", "-o", str(good)])
+        doc = json.loads(good.read_text())
+        doc["points"] = []
+        assert _solve_error(tmp_path, doc, capsys) == "error: empty point set\n", kind
 
 
 def test_non_integer_halfspace_threshold_exits_two(k3_file, tmp_path, capsys):

@@ -354,6 +354,13 @@ def test_net_validation():
         verify_epsilon_net(ps, [True], F(1, 2), "triangles")
 
 
+def test_net_refuses_an_empty_point_set():
+    """No threshold ceil(eps * 0) = 0 reaches either search."""
+    for family in ("box", "halfspace"):
+        with pytest.raises(ValueError, match="^empty point set$"):
+            verify_epsilon_net(PointSet(2, ()), [], F(1, 2), family)
+
+
 def test_net_monotone_in_eps():
     rng = random.Random(17)
     for _ in range(10):
@@ -844,6 +851,61 @@ def test_huge_and_mixed_weights_match_the_oracle_and_recount():
             assert (tally.red, tally.blue) == (0, rep.value)
 
 
+def test_remembered_majority_subtrees_keep_the_smallest_optimal_key(monkeypatch):
+    """On the coarse grid {0, 1/2, 1} in 3 and 4 dimensions, majority scan
+    states repeat under new prefixes and optimal boxes tie, so the scan
+    reuses remembered subtrees: found ones, empty ones, and ones whose tail
+    under a new prefix is the smaller key of a tie.  Bichromatic, free and
+    anchored, and red-blue still report the brute-force optimum with the
+    smallest key, and its side, at 1 worker and in a forked 2-worker pool."""
+    import os
+
+    from discrepancy import solvers
+
+    rng = random.Random(1)
+    sets = []
+    for _ in range(150):
+        d = rng.randint(3, 4)
+        pts = tuple(
+            WeightedPoint(
+                tuple(F(rng.randint(0, 2), 2) for _ in range(d)),
+                rng.choice(("blue", "blue", "red", None)),
+                rng.randint(1, 2),
+            )
+            for _ in range(rng.randint(1, 8))
+        )
+        sets.append(PointSet(d, pts))
+
+    def expected(ps):
+        """(problem, solve, (value, witness, side)) per majority problem."""
+        out = []
+        if ps.color_weight("blue"):
+            for anchored in (False, True):
+                best = _majority_optimum(ps, "blue", True, anchored)
+                want = (best[0], best[2]) if best else (0, None)
+                def solve(ps, w, a=anchored):
+                    return solve_bichromatic_box(ps, a, w)
+
+                out.append(("anchored" if anchored else "bichromatic", solve, want + (None,)))
+        best, side = _majority_optimum(ps, "blue", False), "excess"
+        red = _majority_optimum(ps, "red", False)
+        if red and (not best or red[0] > best[0] or (red[0] == best[0] and red[1] < best[1])):
+            best, side = red, "deficit"
+        if best:
+            out.append(("redblue", solve_redblue_box_discrepancy, (best[0], best[2], side)))
+        return out
+
+    cases = [(ps, case) for ps in sets for case in expected(ps)]
+    for ps, (problem, solve, want) in cases:
+        rep = solve(ps, 1)
+        assert (rep.value, rep.witness, getattr(rep, "side", None)) == want, (problem, ps)
+    monkeypatch.setattr(solvers, "_FORK_CELLS", dict.fromkeys(solvers._FORK_CELLS, 0))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for ps, (problem, solve, want) in cases[::6]:
+        rep = solve(ps, 2)
+        assert (rep.value, rep.witness, getattr(rep, "side", None)) == want, (problem, ps)
+
+
 def test_scored_leaf_counts_are_pinned_on_all_four_vertex_classes():
     """Summed `candidates_evaluated` at one worker: the empty-box and
     majority scans count scored leaves, so a scan that scores one leaf more
@@ -866,8 +928,8 @@ def test_scored_leaf_counts_are_pinned_on_all_four_vertex_classes():
     expected = {
         solve_max_empty_star: (empty_star, 324, 1_929),
         solve_max_empty_box: (build_empty_box_gadget, 184, 1_023),
-        solve_bichromatic_box: (build_bichromatic_gadget, 4_092, 53_769),
-        solve_redblue_box_discrepancy: (build_redblue_gadget, 1_932, 31_474),
+        solve_bichromatic_box: (build_bichromatic_gadget, 3_053, 30_467),
+        solve_redblue_box_discrepancy: (build_redblue_gadget, 1_612, 19_170),
         solve_star_discrepancy: (build_star_discrepancy_gadget, 14_256, 513_216),
     }
     for solve, (build, *sums) in expected.items():
