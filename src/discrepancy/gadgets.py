@@ -380,16 +380,11 @@ def build_net_instance(g: Graph, k: int, family: str) -> GadgetInstance:
     points, and eps = m/|P| where m is the family's red-free blue target
     (k for half-spaces, k+1 for boxes, where the origin joins the box).
     S fails to be an eps-net exactly when G has a k-clique."""
-    if family == "halfspace":
-        base = build_halfspace_gadget(g, k)
-        m = k
-        problem = "net-halfspace"
-    elif family == "box":
-        base = build_bichromatic_gadget(g, k)
-        m = k + 1
-        problem = "net-box"
-    else:
+    builders = {"halfspace": build_halfspace_gadget, "box": build_bichromatic_gadget}
+    if family not in builders:
         raise ValueError(f"unknown range family: {family}")
+    base = builders[family](g, k)
+    m = base.expected_positive
     total = base.points.total_weight
     eps = Fraction(m, total)
     pts = tuple(
@@ -398,4 +393,4 @@ def build_net_instance(g: Graph, k: int, family: str) -> GadgetInstance:
     )
     points = PointSet(base.points.dim, pts)
     params = GadgetParams(k=k, n=g.n, N=total, eps=eps)
-    return GadgetInstance(params, points, problem, expected_positive=m)
+    return GadgetInstance(params, points, f"net-{family}", expected_positive=m)

@@ -80,10 +80,10 @@ integers, so volumes are integers over P = prod(D_j), discrepancy values
 integers over W * P, and `Fraction`s are built only for the report.  A
 point is its ranks plus one signed integer weight, and every anchored box
 has lower rank -1, the 0 wall, in both kernels.  Pruning uses sound
-bounds (positive weight less the smallest completing volume for closed
-boxes, the largest completing volume for open ones) and always a strict
-inequality, so ties at the optimum are never discarded and the reported
-witness is independent of traversal order.
+bounds (for closed boxes the positive weight inside, less B * vol in the
+last dimension; for open ones the largest completing volume) and always
+a strict inequality, so ties at the optimum are never discarded and the
+reported witness is independent of traversal order.
 
 Determinism: among all optimal candidates the solver reports the one with
 the lexicographically smallest witness key (lower ranks, then upper ranks,
@@ -131,8 +131,8 @@ Witness = Union[AnchoredBox, Box, HalfSpace, None]
 # search (k = 3, m = 4, 13 distinct blues) projects 1,092.
 MAX_HALFSPACE_SUBSETS = 100_000
 
-# Most dimensions a box scan takes: both kernels recurse once per dimension,
-# far below the default recursion limit of 1,000 even in a forked worker.
+# Most dimensions a box solve or half-space search takes: the box kernels
+# recurse once per dimension, and the empty star and the LP grow as d^2.
 MAX_SCAN_DIM = 256
 
 
@@ -180,7 +180,10 @@ def _grid(ps: PointSet, walls: tuple):
     the sorted distinct scaled coordinates together with w * D_j for each
     `walls` entry w (0 and/or 1, plain ints), then a trailing 0 so that the
     anchored lower rank -1 reads as the 0 wall; ranks[i] indexes point i's
-    coordinates into ints.  A volume is then an integer over prod(D_j)."""
+    coordinates into ints.  A volume is then an integer over prod(D_j).
+    Raises ValueError, before any work, above MAX_SCAN_DIM dimensions."""
+    if ps.dim > MAX_SCAN_DIM:
+        raise ValueError(f"box scans take at most {MAX_SCAN_DIM} dimensions, got {ps.dim}")
     ints, scales, ranked = [], [], []
     for col in zip(*(p.coords for p in ps.points)) if ps.points else [()] * ps.dim:
         den = lcm(*(c.denominator for c in col))
@@ -238,10 +241,7 @@ def _run_scan(scan, args, workers: int, cells: int):
     crossover in `_FORK_CELLS`; else, or where no pool can be forked, as one
     partition in this process.  Returns the partitions merged: the highest
     (value, key), the smallest key on a tie, or None if no partition found
-    one, and the candidates summed.  Raises ValueError, before any scan,
-    when the scan's `ints` (args[1]) span more than MAX_SCAN_DIM dimensions."""
-    if len(args[1]) > MAX_SCAN_DIM:
-        raise ValueError(f"box scans take at most {MAX_SCAN_DIM} dimensions, got {len(args[1])}")
+    one, and the candidates summed."""
     workers = min(workers, os.cpu_count() or 1)
     runs = None
     if workers > 1 and cells > _FORK_CELLS[scan]:
@@ -306,8 +306,8 @@ def _scan_closed(pts, ints, anchored, weight, seed, part, nparts):
     score, negative for the other color.  Faces are made per node from the
     ranks of the surviving points of positive weight, plus the 0 wall as a
     lower face when B > 0 (see the module docstring).  A pair is skipped
-    when its positive weight less B times the least volume it can complete
-    to is strictly below the incumbent.  Each scored leaf is a candidate.
+    when its positive weight, less B * vol in the last dimension, is
+    strictly below the incumbent.  Each scored leaf is a candidate.
     With B = 0, `memo[j]` maps each surviving mask met at depth j to what
     `rec` returned on it, the subtree's best (value, lo tail, hi tail) at
     or above the incumbent on entry, or None; a mask met again is not
@@ -317,11 +317,6 @@ def _scan_closed(pts, ints, anchored, weight, seed, part, nparts):
     """
     d = len(ints)
     side = (0,) if weight else ()
-    # B times the least volume below depth j: a free side can be 0 long,
-    # an anchored one no shorter than the smallest value.
-    cut = [weight] * (d + 1)
-    for j in range(d - 1, -1, -1):
-        cut[j] = cut[j + 1] * (ints[j][0] if anchored else 0)
     below = [_below([p[j] for p in pts], len(x) - 1) for j, x in enumerate(ints)]
     # Per dimension and rank, the points there of positive weight.
     pos = sum(1 << i for i, p in enumerate(pts) if p[d] > 0)
@@ -344,7 +339,7 @@ def _scan_closed(pts, ints, anchored, weight, seed, part, nparts):
                 pairs[:0] = [(0, b) for b in ranks]
         if j == 0:
             pairs = pairs[part::nparts]
-        x, c, bel = ints[j], cut[j + 1], below[j]
+        x, bel = ints[j], below[j]
         last = j == d - 1
         seen = None if memo is None or last else memo[j + 1]
         nvol, top = vol, None
@@ -355,7 +350,8 @@ def _scan_closed(pts, ints, anchored, weight, seed, part, nparts):
                 held += _total(inner, more)
             if weight:
                 nvol = vol * (x[b] - x[a])
-                held -= c * nvol
+                if last:
+                    held -= weight * nvol
             if best is not None and held < best[0]:
                 continue
             if not last:
@@ -399,12 +395,13 @@ def _scan_open(pts, ints, anchored, weight, seed, part, nparts):
     every dimension; volumes carry the factor W (1 for an empty box).
     Faces are every grid interval with lo < hi (lo at rank -1, the 0 wall,
     when `anchored`), longest first, ties in (lo, hi) order, so a residual
-    volume strictly below the incumbent ends the loop.  Once no point
-    survives, the only completion scored is the longest one: no optimum here
-    has volume 0, as free lower ranks are >= 0 and star discrepancy is
-    positive.  An empty box skips leaves with a point inside.  Each scored
-    completion is a candidate.  Returns ((value, key), candidates), key =
-    lo + hi + (1,) for the deficit.
+    volume strictly below the incumbent ends the loop.  Each dimension's
+    longest interval is unique (0 wall to 1 wall, or rank -1 to the 1 wall
+    when anchored), so below a node where no point survives the first
+    completion scores the bound its parent passed, and every later sibling
+    is pruned: one leaf.  An empty box skips leaves with a point inside.
+    Each scored completion is a candidate.  Returns ((value, key),
+    candidates), key = lo + hi + (1,) for the deficit.
     """
     d = len(ints)
     dims = []
@@ -415,31 +412,20 @@ def _scan_open(pts, ints, anchored, weight, seed, part, nparts):
         ivs = [(a, b, x[b] - x[a], bel[b] ^ bel[a + 1]) for a in los for b in range(a + 1, r)]
         ivs.sort(key=lambda iv: -iv[2])
         dims.append(ivs)
-    first = dims[0][part::nparts]
     (v, g), *more = _groups(pts, 1)
     side = () if weight is None else (1,)
     maxtail = [1] * (d + 1)
     for j in range(d - 1, -1, -1):
         maxtail[j] = maxtail[j + 1] * dims[j][0][2]
+    dims[0] = dims[0][part::nparts]
     lo: list = [None] * d
     hi: list = [None] * d
     best, cands = seed, 0
 
     def rec(j, vol, cur):
         nonlocal best, cands
-        if not cur:
-            cands += 1
-            rest = [ivs[0] for ivs in dims[j:]]
-            vol *= maxtail[j]
-            key = (
-                tuple(lo[:j]) + tuple(iv[0] for iv in rest)
-                + tuple(hi[:j]) + tuple(iv[1] for iv in rest) + side
-            )
-            if best is None or vol > best[0] or (vol == best[0] and key < best[1]):
-                best = (vol, key)
-            return
         if j == d - 1:
-            for a, b, length, slab in first if j == 0 else dims[j]:
+            for a, b, length, slab in dims[j]:
                 nvol = vol * length
                 if best is not None and nvol < best[0]:
                     break
@@ -456,7 +442,7 @@ def _scan_open(pts, ints, anchored, weight, seed, part, nparts):
                     if best is None or val > best[0] or key < best[1]:
                         best = (val, key)
             return
-        for a, b, length, slab in first if j == 0 else dims[j]:
+        for a, b, length, slab in dims[j]:
             nvol = vol * length
             if best is not None and nvol * maxtail[j + 1] < best[0]:
                 break
@@ -657,10 +643,13 @@ def solve_bichromatic_halfspace(ps: PointSet, m: int) -> BichromaticReport:
     is decided by exact linear feasibility with a margin-1 system.  The
     returned witness is the feasible (normal, offset) pair; the reported
     value is the total blue weight the witness actually contains.  Raises
-    ValueError, before any LP, when the subsets of at most m distinct blues
-    number more than MAX_HALFSPACE_SUBSETS.
+    ValueError, before any LP, above MAX_SCAN_DIM dimensions or when the
+    subsets of at most m distinct blues number more than
+    MAX_HALFSPACE_SUBSETS.
     """
     t0 = perf_counter()
+    if ps.dim > MAX_SCAN_DIM:
+        raise ValueError(f"half-space search takes at most {MAX_SCAN_DIM} dimensions, got {ps.dim}")
     if m < 1:
         raise ValueError(f"threshold must be >= 1, got {m}")
     blue_weight: dict = {}

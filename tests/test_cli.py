@@ -651,9 +651,10 @@ def test_oversized_gadget_exits_two_before_building(k3_file, tmp_path, monkeypat
 
 
 def test_box_scans_above_the_dimension_bound_exit_two(edge_file, tmp_path, capsys):
-    """One point in MAX_SCAN_DIM + 1 dimensions: the five problems that run
-    a recursive box scan exit 2 and name the limit, before any scan; the
-    empty star, which does not recurse, still solves."""
+    """One point in MAX_SCAN_DIM + 1 dimensions: the six box problems exit 2
+    and name the limit, before any grid is built; so do the empty star,
+    whose search does not recurse but grows as d^2, and both half-space
+    searches, whose LP keeps a (d + 2) x (d + 2) basis."""
     from discrepancy.solvers import MAX_SCAN_DIM
 
     d = MAX_SCAN_DIM + 1
@@ -666,12 +667,23 @@ def test_box_scans_above_the_dimension_bound_exit_two(edge_file, tmp_path, capsy
         doc["dim"], doc["points"] = d, [dict(point, color=color) if color else point]
         return doc
 
-    for kind in ("star-disc", "box-disc", "empty-box", "bichromatic", "redblue"):
-        doc = instance(kind, "blue" if kind in ("bichromatic", "redblue") else None)
+    colored = ("bichromatic", "redblue", "halfspace", "net-halfspace")
+    for kind in ("star-disc", "box-disc", "empty-box", "empty-star", *colored):
+        doc = instance(kind, "blue" if kind in colored else None)
         err = _solve_error(tmp_path, doc, capsys)
         assert f"at most {MAX_SCAN_DIM} dimensions, got {d}" in err, kind
-    path = tmp_path / "es.json"
-    path.write_text(json.dumps(instance("empty-star")))
-    capsys.readouterr()
-    assert cli.main(["solve", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "1/2"
+
+
+def test_empty_ranges_of_a_million_dimensions_exit_two_at_once(edge_file, tmp_path, capsys):
+    """An instance with no points in 1,000,000 dimensions: the empty
+    star and the empty box exit 2 with one error line within a second,
+    instead of walking every dimension first."""
+    path = tmp_path / "big.json"
+    for kind in ("empty-star", "empty-box"):
+        cli.main(["gadget", "--type", kind, "--graph", edge_file, "-k", "2", "-o", str(path)])
+        doc = json.loads(path.read_text())
+        doc["dim"], doc["points"] = 1_000_000, []
+        t0 = perf_counter()
+        err = _solve_error(tmp_path, doc, capsys)
+        assert perf_counter() - t0 < 1, kind
+        assert err.count("\n") == 1 and "dimensions, got 1000000" in err, (kind, err)

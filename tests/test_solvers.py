@@ -906,6 +906,36 @@ def test_remembered_majority_subtrees_keep_the_smallest_optimal_key(monkeypatch)
         assert (rep.value, rep.witness, getattr(rep, "side", None)) == want, (problem, ps)
 
 
+def test_a_remembered_subtree_returns_its_smallest_tied_tail():
+    """A subtree visits its tails in (lo3, hi3, lo4, hi4) order, but keys
+    put every lower face first.  Coordinates in tenths: the points with
+    first coordinates (2, 3, 5) form the mask M, where two tails tie at 20,
+    the blue of weight 20 alone ([1,1] x [3,3], visited first) and the two
+    blues of weight 10 ([1,2] x [2,2], with the smaller lo4).  The prefix
+    (2,2 | 3,3 | 5,5) searches M first; the later prefix (2,3 | 1,3 | 5,5),
+    whose larger hi0 admits the blue at (3, 1, 9) and with it the smaller
+    lo1, reaches M again and wins with the remembered tail, so that tail
+    must be the smaller key.  The reds block the boxes that join the tied
+    blues, or join M to the blue at (3, 1, 9).  At d <= 4 no such pair of
+    prefixes exists: the last prefix dimension's faces are forced by M."""
+    def point(coords, color, w=1):
+        return WeightedPoint(tuple(F(x) / 10 for x in coords), color, w)
+
+    ps = PointSet(5, (
+        point((2, 3, 5, 1, 3), "blue", 20),
+        point((2, 3, 5, 1, 2), "blue", 10),
+        point((2, 3, 5, 2, 2), "blue", 10),
+        point((2, 3, 5, 1, F(5, 2)), "red"),
+        point((3, 1, 9, 1, 3), "blue"),
+        point((2, 3, 7, 1, 3), "red"),
+    ))
+    lower, upper = (tuple(F(x, 10) for x in c) for c in ((2, 1, 5, 1, 2), (3, 3, 5, 2, 2)))
+    want = Box(lower, upper, closed=True)
+    assert _majority_optimum(ps, "blue", True)[::2] == (20, want)
+    rep = solve_bichromatic_box(ps)
+    assert (rep.value, rep.witness) == (20, want)
+
+
 def test_scored_leaf_counts_are_pinned_on_all_four_vertex_classes():
     """Summed `candidates_evaluated` at one worker: the empty-box and
     majority scans count scored leaves, so a scan that scores one leaf more
