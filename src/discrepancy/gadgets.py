@@ -33,6 +33,7 @@ from math import comb
 from typing import Iterable, Optional
 
 from .geometry import BLUE, ONE, RED, ZERO, Point, PointSet, WeightedPoint
+from .solvers import MAX_SCAN_DIM
 
 HALF = Fraction(1, 2)
 
@@ -116,12 +117,15 @@ class GadgetInstance:
 def _check_reduction_size(g: Graph, k: int, scaffold: int) -> int:
     """The point count N = scaffold + C(k,2)|bad pairs| of a gadget with
     `scaffold` points besides its kill points, in closed form; raises
-    ValueError on k < 2, n < 2 or N > MAX_GADGET_POINTS."""
+    ValueError on k < 2, n < 2, N > MAX_GADGET_POINTS or a dimension 2k
+    that no solver takes (above MAX_SCAN_DIM)."""
     if k < 2 or g.n < 2:
         raise ValueError("degenerate reduction")
     n_points = scaffold + comb(k, 2) * (g.n + 2 * (comb(g.n, 2) - len(g.edges)))
     if n_points > MAX_GADGET_POINTS:
         raise ValueError(f"gadget would have {n_points} points, more than the limit of {MAX_GADGET_POINTS}")
+    if 2 * k > MAX_SCAN_DIM:
+        raise ValueError(f"gadget would have {2 * k} dimensions, more than the limit of {MAX_SCAN_DIM}")
     return n_points
 
 

@@ -504,7 +504,8 @@ def _scan_disc(pts, ints, anchored, weight, part, nparts):
 
 
 # Per scan, the grid size (`_cells`) above which partitions run faster in a
-# forked pool than in-process; measured on a 2-vCPU VM (ROADMAP item 3).
+# forked pool than in-process; measured on a 2-vCPU VM (the `crossover`
+# rows of BENCH_10.json and BENCH_14.json).
 # `_scan_open` alone is the empty box, `_scan_closed` alone a majority scan.
 _FORK_CELLS = {_scan_disc: 2_000_000, _scan_open: 30_000_000, _scan_closed: 150_000_000}
 
@@ -567,29 +568,23 @@ def solve_max_empty_box(ps: PointSet, workers: int = 1) -> EmptyBoxReport:
     return _solve_boxes(ps, False, True, workers)
 
 
-def _solve_majority(ps, ints, ranks, major, penalty, anchored, init_best, workers):
-    """Run the majority scan on `_grid(ps, ())`: a `major` point scores +w,
-    a point of the other color -penalty * w and an uncolored point 0."""
+def _solve_majority(ps, ints, ranks, major, penalty, init_best, workers):
+    """Run the majority scan, over free closed boxes with B = 0, on
+    `_grid(ps, ())`: `major` scores +w, the other color -penalty * w."""
     score = {major: 1, RED if major == BLUE else BLUE: -penalty, None: 0}
     pts = [rk + (score[p.color] * p.weight,) for rk, p in zip(ranks, ps.points)]
-    cells = _cells(ints, [rk for rk, p in zip(ranks, ps.points) if p.color == major], anchored, False)
-    args = (pts, ints, anchored, 0, init_best)
-    return _run_scan(_scan_closed, args, workers, cells)
+    cells = _cells(ints, [rk for rk, p in zip(ranks, ps.points) if p.color == major], False, False)
+    return _run_scan(_scan_closed, (pts, ints, False, 0, init_best), workers, cells)
 
 
-def solve_bichromatic_box(
-    ps: PointSet, anchored: bool = False, workers: int = 1
-) -> BichromaticReport:
-    """Most blue weight in a closed box containing zero red weight."""
+def solve_bichromatic_box(ps: PointSet, workers: int = 1) -> BichromaticReport:
+    """Most blue weight in a closed box containing zero red weight, any box."""
     t0 = perf_counter()
     if (blue := ps.color_weight(BLUE)) == 0:
         raise ValueError("no blue points")
-    if anchored:
-        # A point with a negative coordinate lies in no box [0, u].
-        ps = PointSet(ps.dim, tuple(p for p in ps.points if min(p.coords) >= ZERO))
     ints, scales, ranks = _grid(ps, ())
     # A red point outweighs all blues, so only red-free boxes score >= 0.
-    best, cands = _solve_majority(ps, ints, ranks, BLUE, blue + 1, anchored, None, workers)
+    best, cands = _solve_majority(ps, ints, ranks, BLUE, blue + 1, None, workers)
     if best is None or best[0] < 0:
         return BichromaticReport(0, None, True, cands, perf_counter() - t0)
     witness = Box(*_faces(ints, scales, best[1]), closed=True)
@@ -605,8 +600,8 @@ def solve_redblue_box_discrepancy(ps: PointSet, workers: int = 1) -> Discrepancy
     t0 = perf_counter()
     _require_nonempty(ps)
     ints, scales, ranks = _grid(ps, ())
-    blue_best, cands = _solve_majority(ps, ints, ranks, BLUE, 1, False, None, workers)
-    best, c = _solve_majority(ps, ints, ranks, RED, 1, False, blue_best, workers)
+    blue_best, cands = _solve_majority(ps, ints, ranks, BLUE, 1, None, workers)
+    best, c = _solve_majority(ps, ints, ranks, RED, 1, blue_best, workers)
     cands += c
     if best is None:
         # No colored points at all: every box balances at zero.

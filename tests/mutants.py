@@ -121,6 +121,11 @@ MUTANTS = [
         'if False:\n        raise ValueError(f"half',
         ["tests/test_cli.py::test_box_scans_above_the_dimension_bound_exit_two"],
     ),
+    (
+        "gadget-dim-unbounded", "gadgets.py",
+        "if 2 * k > MAX_SCAN_DIM:", "if False:",
+        ["tests/test_cli.py::test_gadgets_above_the_dimension_bound_exit_two_before_building"],
+    ),
     # Partitions merge to the smallest key on a value tie.
     (
         "merge-first-partition", "solvers.py",

@@ -2,10 +2,9 @@
 
 Each set has 0 to 8 points in 1 to 3 dimensions, with duplicates, 0 and 1
 coordinates, weights 1 to 3 and blue, red or no color; a few coordinates
-lie outside the unit cube.  Every solver runs on every set, bichromatic
-box both free and anchored, the eps-net check for both families.  A report
-is written as every field but `elapsed`, and a refused input as its
-ValueError message.
+lie outside the unit cube.  Every solver runs on every set, the eps-net
+check for both families.  A report is written as every field but
+`elapsed`, and a refused input as its ValueError message.
 
 Prints one sha256 over those lines at 1 worker, then a second with every
 crossover in `_FORK_CELLS` at 0 and 2 workers, so each box scan that
@@ -73,7 +72,6 @@ def calls(ps, m, mask, eps, workers):
         ("empty-star", lambda: solve_max_empty_star(ps, workers=workers)),
         ("empty-box", lambda: solve_max_empty_box(ps, workers=workers)),
         ("bichromatic", lambda: solve_bichromatic_box(ps, workers=workers)),
-        ("bichromatic-anchored", lambda: solve_bichromatic_box(ps, True, workers)),
         ("redblue", lambda: solve_redblue_box_discrepancy(ps, workers=workers)),
         ("halfspace", lambda: solve_bichromatic_halfspace(ps, m)),
         ("net-box", lambda: verify_epsilon_net(ps, mask, eps, "box", workers)),

@@ -278,8 +278,8 @@ def test_verify_mismatch_exits_one(k3_file, monkeypatch, capsys):
 
     real = solvers.solve_bichromatic_box
 
-    def wrong(ps, anchored=False, workers=1):
-        rep = real(ps, anchored=anchored, workers=workers)
+    def wrong(ps, workers=1):
+        rep = real(ps, workers=workers)
         return type(rep)(rep.value + 1, rep.witness, rep.feasible, rep.candidates_evaluated, rep.elapsed)
 
     monkeypatch.setattr(solvers, "solve_bichromatic_box", wrong)
@@ -648,6 +648,38 @@ def test_oversized_gadget_exits_two_before_building(k3_file, tmp_path, monkeypat
                 err = capsys.readouterr().err
                 assert err.startswith("error: gadget would have "), err
                 assert err.endswith(" points, more than the limit of 100000\n"), err
+
+
+def test_gadgets_above_the_dimension_bound_exit_two_before_building(edge_file, tmp_path, monkeypatch, capsys):
+    """A gadget of 2k > MAX_SCAN_DIM dimensions, which every solver refuses,
+    is refused before it is built: at k = 129 on one edge, `gadget` and
+    `verify` exit 2 within a second, name the limit and write no file.  At
+    k = 128 the checks pass and the build starts, which is stopped here: it
+    takes seconds."""
+    from discrepancy import gadgets
+    from discrepancy.solvers import MAX_SCAN_DIM
+
+    class Built(Exception):
+        pass
+
+    def started(*args):
+        raise Built
+
+    for name in ("_bad_vertex_pairs", "_kill_points", "_embed"):
+        monkeypatch.setattr(gadgets, name, started)
+    out = tmp_path / "out.json"
+    k = MAX_SCAN_DIM // 2 + 1
+    limit = f"error: gadget would have {2 * k} dimensions, more than the limit of {MAX_SCAN_DIM}\n"
+    for kind in cli._GADGETS:
+        for command, rest in (("gadget", ["-o", str(out)]), ("verify", [])):
+            t0 = perf_counter()
+            assert cli.main([command, "--type", kind, "--graph", edge_file, "-k", str(k), *rest]) == 2
+            assert perf_counter() - t0 < 1, (kind, command)
+            assert capsys.readouterr().err == limit, (kind, command)
+            assert not out.exists(), (kind, command)
+    for kind in cli._GADGETS:
+        with pytest.raises(Built):
+            cli.main(["gadget", "--type", kind, "--graph", edge_file, "-k", str(k - 1), "-o", str(out)])
 
 
 def test_box_scans_above_the_dimension_bound_exit_two(edge_file, tmp_path, capsys):

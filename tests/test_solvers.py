@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -207,23 +208,17 @@ def test_bichromatic_requires_blue():
         solve_bichromatic_box(point_set(1, [((F(1, 2),), "red", 1)]))
 
 
-def test_bichromatic_anchored_variant():
-    ps = point_set(
-        1,
-        [((F(1, 4),), "red", 1), ((F(1, 2),), "blue", 1), ((F(3, 4),), "blue", 1)],
-    )
-    free = solve_bichromatic_box(ps)
-    anchored = solve_bichromatic_box(ps, anchored=True)
-    assert free.value == 2
-    assert anchored.value == 0  # every anchored box with a blue passes the red
-    ps2 = point_set(1, [((F(1, 2),), "blue", 1), ((F(3, 4),), "red", 1)])
-    assert solve_bichromatic_box(ps2, anchored=True).value == 1
-
-
-def test_anchored_bichromatic_skips_points_with_a_negative_coordinate():
-    """Such a point lies in no box [0, u]; with no blue left the answer is 0."""
-    rep = solve_bichromatic_box(point_set(1, [((F(-1, 4),), "blue", 1)]), anchored=True)
-    assert (rep.value, rep.witness, rep.feasible) == (0, None, True)
+def test_bichromatic_box_takes_workers_second_and_coordinates_below_zero():
+    """Like the other five box solvers, `solve_bichromatic_box(ps, 2)` is
+    the 2-worker solve, and its boxes are free: a red point at 1/4 does not
+    spoil the blues at 1/2 and 3/4, and a point at -1/4 is held by a box.
+    On random sets with coordinates from -1/q the report is the brute-force
+    optimum, and the positional worker count gives the `workers=2` report
+    in every field but `elapsed`."""
+    ps = point_set(1, [((F(1, 4),), "red", 1), ((F(1, 2),), "blue", 1), ((F(3, 4),), "blue", 1)])
+    assert solve_bichromatic_box(ps, 2).value == 2
+    rep = solve_bichromatic_box(point_set(1, [((F(-1, 4),), "blue", 1)]), 2)
+    assert (rep.value, rep.witness) == (1, Box((F(-1, 4),), (F(-1, 4),), closed=True))
     rng = random.Random(16)
     found = set()
     for _ in range(150):
@@ -237,15 +232,15 @@ def test_anchored_bichromatic_skips_points_with_a_negative_coordinate():
             for idx in range(rng.randint(1, 7))
         ]
         ps = PointSet(d, tuple(pts))
-        rep = solve_bichromatic_box(ps, anchored=True)
-        best = _majority_optimum(ps, "blue", True, anchored=True)
+        rep = solve_bichromatic_box(ps, 2)
+        assert replace(rep, elapsed=0) == replace(solve_bichromatic_box(ps, workers=2), elapsed=0), ps
+        best = _majority_optimum(ps, "blue", True)
         assert (rep.value, rep.witness) == ((best[0], best[2]) if best else (0, None)), ps
         assert rep.feasible
         found.add(rep.witness is not None)
         if rep.witness is not None:
             tally = count_in_box(ps, rep.witness)
             assert (tally.red, tally.blue) == (0, rep.value), ps
-            assert rep.witness.lower == (0,) * d
     assert found == {True, False}
 
 
@@ -613,7 +608,6 @@ def test_grid_is_the_fraction_grid_in_integers(monkeypatch):
         solve_max_empty_star,
         solve_max_empty_box,
         solve_bichromatic_box,
-        lambda ps: solve_bichromatic_box(ps, anchored=True),
         solve_redblue_box_discrepancy,
     ):
         solve(ps)
@@ -734,7 +728,6 @@ def test_box_kernel_matches_oracle_on_boundary_and_duplicate_coordinates():
         majority = {"redblue-disc": solve_redblue_box_discrepancy}
         if ps.color_weight("blue"):
             majority["bichromatic-box"] = solve_bichromatic_box
-            majority["anchored"] = lambda ps, workers: solve_bichromatic_box(ps, True, workers)
         for problem, solve in majority.items():
             reps = [solve(ps, workers=workers) for workers in (1, 2)]
             seen = {(rep.value, rep.witness, getattr(rep, "side", None)) for rep in reps}
@@ -748,10 +741,9 @@ def test_box_kernel_matches_oracle_on_boundary_and_duplicate_coordinates():
                 if best:
                     assert (rep.value, rep.witness, rep.side) == (best[0], best[2], side), ps
             else:
-                best = _majority_optimum(ps, "blue", True, anchored=problem == "anchored")
+                best = _majority_optimum(ps, "blue", True)
                 assert (rep.value, rep.witness) == ((best[0], best[2]) if best else (0, None)), ps
-            if problem != "anchored":
-                assert rep.value == naive_range_enumerate(ps, problem), (problem, ps)
+            assert rep.value == naive_range_enumerate(ps, problem), (problem, ps)
             if rep.witness is None:
                 continue
             tally = count_in_box(ps, rep.witness)
@@ -762,13 +754,13 @@ def test_box_kernel_matches_oracle_on_boundary_and_duplicate_coordinates():
                 assert (tally.red, tally.blue) == (0, rep.value), (problem, ps, rep)
 
 
-def _majority_optimum(ps, major, feasible, anchored=False):
+def _majority_optimum(ps, major, feasible):
     """(value, key, box) of the best candidate of the majority scan, by brute
     force: a closed box is a candidate when its faces in each dimension j lie
-    on coordinates of `major` points inside its first j sides (lower faces
-    at 0 when anchored).  A box scores major minus minor weight, or, when
-    `feasible`, its major weight if it holds no minor point.  Ties go to the
-    smallest lower + upper key; None when no box scores."""
+    on coordinates of `major` points inside its first j sides.  A box scores
+    major minus minor weight, or, when `feasible`, its major weight if it
+    holds no minor point.  Ties go to the smallest lower + upper key; None
+    when no box scores."""
     from itertools import product
 
     majors = [p.coords for p in ps.points if p.color == major]
@@ -781,13 +773,10 @@ def _majority_optimum(ps, major, feasible, anchored=False):
     per_dim = []
     for j in range(ps.dim):
         cs = sorted({x[j] for x in majors})
-        per_dim.append([(a, b) for a in ([F(0)] if anchored else cs) for b in cs if a <= b])
+        per_dim.append([(a, b) for a in cs for b in cs if a <= b])
     best = None
     for sides in product(*per_dim):
-        if not all(
-            (anchored or on_face(sides, j, a)) and on_face(sides, j, b)
-            for j, (a, b) in enumerate(sides)
-        ):
+        if not all(on_face(sides, j, a) and on_face(sides, j, b) for j, (a, b) in enumerate(sides)):
             continue
         box = Box(tuple(a for a, _ in sides), tuple(b for _, b in sides), closed=True)
         tally = count_in_box(ps, box)
@@ -843,21 +832,15 @@ def test_huge_and_mixed_weights_match_the_oracle_and_recount():
         tally = count_in_box(ps, rep.witness)
         diff = tally.blue - tally.red if rep.side == "excess" else tally.red - tally.blue
         assert diff == rep.value
-        rep = solve_bichromatic_box(ps, anchored=True)
-        best = _majority_optimum(ps, "blue", True, anchored=True)
-        assert (rep.value, rep.witness) == ((best[0], best[2]) if best else (0, None)), ps
-        if rep.witness is not None:
-            tally = count_in_box(ps, rep.witness)
-            assert (tally.red, tally.blue) == (0, rep.value)
 
 
 def test_remembered_majority_subtrees_keep_the_smallest_optimal_key(monkeypatch):
     """On the coarse grid {0, 1/2, 1} in 3 and 4 dimensions, majority scan
     states repeat under new prefixes and optimal boxes tie, so the scan
     reuses remembered subtrees: found ones, empty ones, and ones whose tail
-    under a new prefix is the smaller key of a tie.  Bichromatic, free and
-    anchored, and red-blue still report the brute-force optimum with the
-    smallest key, and its side, at 1 worker and in a forked 2-worker pool."""
+    under a new prefix is the smaller key of a tie.  Bichromatic and red-blue
+    still report the brute-force optimum with the smallest key, and its
+    side, at 1 worker and in a forked 2-worker pool."""
     import os
 
     from discrepancy import solvers
@@ -880,13 +863,9 @@ def test_remembered_majority_subtrees_keep_the_smallest_optimal_key(monkeypatch)
         """(problem, solve, (value, witness, side)) per majority problem."""
         out = []
         if ps.color_weight("blue"):
-            for anchored in (False, True):
-                best = _majority_optimum(ps, "blue", True, anchored)
-                want = (best[0], best[2]) if best else (0, None)
-                def solve(ps, w, a=anchored):
-                    return solve_bichromatic_box(ps, a, w)
-
-                out.append(("anchored" if anchored else "bichromatic", solve, want + (None,)))
+            best = _majority_optimum(ps, "blue", True)
+            want = (best[0], best[2]) if best else (0, None)
+            out.append(("bichromatic", solve_bichromatic_box, want + (None,)))
         best, side = _majority_optimum(ps, "blue", False), "excess"
         red = _majority_optimum(ps, "red", False)
         if red and (not best or red[0] > best[0] or (red[0] == best[0] and red[1] < best[1])):
