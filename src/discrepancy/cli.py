@@ -19,20 +19,20 @@ from . import gadgets, instances, oracles, solvers
 from .geometry import BLUE, RED, AnchoredBox, Box, HalfSpace, PointSet, WeightedPoint
 from .instances import format_rational, parse_rational
 
-# Gadget type -> builder(graph, k, mu, raw).  Each lambda looks its
+# Gadget type -> builder(graph, k, mu).  Each lambda looks its
 # `gadgets.build_*` function up when called, so patched attributes are seen.
 _GADGETS = {
-    "bichromatic": lambda g, k, mu, raw: gadgets.build_bichromatic_gadget(g, k, normalize=not raw),
-    "redblue": lambda g, k, mu, raw: gadgets.build_redblue_gadget(g, k, normalize=not raw),
-    "empty-star": lambda g, k, mu, raw: gadgets.build_empty_star_gadget(
+    "bichromatic": lambda g, k, mu: gadgets.build_bichromatic_gadget(g, k),
+    "redblue": lambda g, k, mu: gadgets.build_redblue_gadget(g, k),
+    "empty-star": lambda g, k, mu: gadgets.build_empty_star_gadget(
         g, k, mu if mu is not None else Fraction(2)
     ),
-    "star-disc": lambda g, k, mu, raw: gadgets.build_star_discrepancy_gadget(g, k),
-    "empty-box": lambda g, k, mu, raw: gadgets.build_empty_box_gadget(g, k),
-    "box-disc": lambda g, k, mu, raw: gadgets.build_box_discrepancy_gadget(g, k),
-    "halfspace": lambda g, k, mu, raw: gadgets.build_halfspace_gadget(g, k),
-    "net-halfspace": lambda g, k, mu, raw: gadgets.build_net_instance(g, k, "halfspace"),
-    "net-box": lambda g, k, mu, raw: gadgets.build_net_instance(g, k, "box"),
+    "star-disc": lambda g, k, mu: gadgets.build_star_discrepancy_gadget(g, k),
+    "empty-box": lambda g, k, mu: gadgets.build_empty_box_gadget(g, k),
+    "box-disc": lambda g, k, mu: gadgets.build_box_discrepancy_gadget(g, k),
+    "halfspace": lambda g, k, mu: gadgets.build_halfspace_gadget(g, k),
+    "net-halfspace": lambda g, k, mu: gadgets.build_net_instance(g, k, "halfspace"),
+    "net-box": lambda g, k, mu: gadgets.build_net_instance(g, k, "box"),
 }
 
 # Box problem -> (solvers function name, report field that verify compares,
@@ -140,7 +140,7 @@ def _expected_outcome(inst: gadgets.GadgetInstance, clique: bool):
 
 
 def _verify(kind: str, graph: gadgets.Graph, k: int, workers: int, out) -> int:
-    inst = _GADGETS[kind](graph, k, None, False)
+    inst = _GADGETS[kind](graph, k, None)
     clique = oracles.has_clique(graph, k)
     total = inst.points.total_weight
     if total != inst.params.N:
@@ -194,11 +194,11 @@ BENCH_HEADER = ("problem", "d", "n_points", "candidates_evaluated", "elapsed_ms"
 
 def bench_scaling(problem: str, dims, sizes, seed: int, cutoff: int):
     """One row per (d, n): exact candidate count and the solver's own wall
-    time after one warm-up run; rows whose projected candidate count exceeds
-    the cutoff are marked skipped instead of burning CI time.  Raises
-    ValueError, before any set is built, on a dimension outside
-    1..MAX_SCAN_DIM, a size outside 1..MAX_GADGET_POINTS, or a d * n above
-    MAX_GADGET_POINTS."""
+    time after one warm-up run; a row whose grid size (`grid_cells`, which
+    bounds the count and equals it only for star and box discrepancy) passes
+    the cutoff is skipped, with that size as its count.  Raises ValueError,
+    before any set is built, on a dimension outside 1..MAX_SCAN_DIM, a size
+    outside 1..MAX_GADGET_POINTS, or a d * n above MAX_GADGET_POINTS."""
     for name, values, top in (
         ("dimension", dims, solvers.MAX_SCAN_DIM),
         ("size", sizes, gadgets.MAX_GADGET_POINTS),
@@ -252,7 +252,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p_gadget.add_argument("--graph", required=True)
     p_gadget.add_argument("-k", type=int, required=True)
     p_gadget.add_argument("--mu", help="gap parameter p/q for empty-star (default 2)")
-    p_gadget.add_argument("--raw", action="store_true", help="skip 1/(n+1) normalization")
     p_gadget.add_argument("-o", "--output", required=True)
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
@@ -304,11 +303,9 @@ def _dispatch(args) -> int:
     if args.command == "gadget":
         if args.mu is not None and args.type != "empty-star":
             raise ValueError("--mu applies only to --type empty-star")
-        if args.raw and args.type not in ("bichromatic", "redblue"):
-            raise ValueError("--raw applies only to --type bichromatic and redblue")
         graph = instances.read_graph(args.graph)
         mu = parse_rational(args.mu) if args.mu else None
-        inst = _GADGETS[args.type](graph, args.k, mu, args.raw)
+        inst = _GADGETS[args.type](graph, args.k, mu)
         instances.write_instance(args.output, inst)
         print(f"wrote {args.output}: problem={inst.problem} dim={inst.points.dim} "
               f"points={len(inst.points)}")

@@ -183,25 +183,23 @@ def _colored_gadget(g: Graph, k: int, blue_at, red_at, kill_at, problem: str, ex
 # Box reductions on the diagonal scaffold.
 
 
-def build_bichromatic_gadget(g: Graph, k: int, normalize: bool = True) -> GadgetInstance:
+def build_bichromatic_gadget(g: Graph, k: int) -> GadgetInstance:
     """Points whose largest red-free box holds k+1 blues iff G has a k-clique.
 
     Blue origin and per-plane diagonal blues (v, n+1-v); red separators
-    between consecutive blues, then the kill points.  With `normalize` the
-    raw integer/half-integer coordinates are divided by n+1 so the set lies
-    in the unit cube; that map is a per-dimension order isomorphism, so
-    every combinatorial value is unchanged.
+    between consecutive blues, then the kill points, all divided by n+1: a
+    per-dimension order isomorphism into the unit cube, so no box count changes.
     """
     # The blue origin, n blues and n - 1 red separators per plane.
     _check_reduction_size(g, k, 1 + k * (2 * g.n - 1))
     n = g.n
-    scale = Fraction(1, n + 1) if normalize else ONE
+    scale = Fraction(1, n + 1)
     corner = {v: (v * scale, (n + 1 - v) * scale) for v in range(1, n + 1)}
     separators = [((v + HALF) * scale, (n + HALF - v) * scale) for v in range(1, n)]
     return _colored_gadget(g, k, corner, separators, corner, "bichromatic-box", k + 1)
 
 
-def build_redblue_gadget(g: Graph, k: int, normalize: bool = True) -> GadgetInstance:
+def build_redblue_gadget(g: Graph, k: int) -> GadgetInstance:
     """Bichromatic instance with the blue origin fattened to N copies.
 
     N is the point count of the plain bichromatic construction.  In any box
@@ -209,7 +207,7 @@ def build_redblue_gadget(g: Graph, k: int, normalize: bool = True) -> GadgetInst
     discrepancy reaches N + k exactly when a red-free box with the origin
     and one blue per plane exists, i.e. iff G has a k-clique.
     """
-    base = build_bichromatic_gadget(g, k, normalize=normalize)
+    base = build_bichromatic_gadget(g, k)
     n_copies = base.params.N
     origin, *rest = base.points.points  # _colored_gadget puts the blue origin first
     points = PointSet(2 * k, (WeightedPoint(origin.coords, BLUE, n_copies), *rest))

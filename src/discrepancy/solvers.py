@@ -226,13 +226,15 @@ def _cells(ints, ranks, anchored: bool, walls: bool = True) -> int:
 
 def grid_cells(ps: PointSet, anchored: bool, colors=()) -> int:
     """`_cells` of the grid that a scan of `ps` runs on: the box scan's, or
-    with `colors` the majority scan's of each color, summed.  Coordinates
+    with `colors` the free majority scan's of each color, summed.  Coordinates
     outside [0,1] are counted by the same closed form, not refused."""
+    if anchored and colors:
+        raise ValueError("no solver scans an anchored majority grid")
     ints, _, ranks = _grid(ps, () if colors else (1,) if anchored else (0, 1))
     if not colors:
         return _cells(ints, ranks, anchored)
     held = [[rk for rk, p in zip(ranks, ps.points) if p.color == c] for c in colors]
-    return sum(_cells(ints, rks, anchored, False) for rks in held)
+    return sum(_cells(ints, rks, False, False) for rks in held)
 
 
 def _run_scan(scan, args, workers: int, cells: int):
@@ -503,9 +505,9 @@ def _scan_disc(pts, ints, anchored, weight, part, nparts):
     return _scan_open(pts, ints, anchored, weight, best, part, nparts)
 
 
-# Per scan, the grid size (`_cells`) above which partitions run faster in a
-# forked pool than in-process; measured on a 2-vCPU VM (the `crossover`
-# rows of BENCH_10.json and BENCH_14.json).
+# Per scan, the grid size (`_cells`) above which partitions ran faster in a
+# forked pool than in-process on a 2-vCPU VM before the majority scans kept
+# a memo (the `crossover` rows of BENCH_10.json and BENCH_14.json).
 # `_scan_open` alone is the empty box, `_scan_closed` alone a majority scan.
 _FORK_CELLS = {_scan_disc: 2_000_000, _scan_open: 30_000_000, _scan_closed: 150_000_000}
 

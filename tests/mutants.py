@@ -97,6 +97,12 @@ MUTANTS = [
         "n * (n - 1) // 2 + c", "n * (n + 1) // 2",
         ["tests/test_solvers.py::test_grid_cells_counts_face_choices"],
     ),
+    # No solver scans an anchored majority grid, so none is counted.
+    (
+        "anchored-majority-count", "solvers.py",
+        "if anchored and colors:", "if False:",
+        ["tests/test_solvers.py::test_grid_cells_counts_face_choices"],
+    ),
     # The two sides share no code.
     (
         "oracles-import-solvers", "oracles.py",

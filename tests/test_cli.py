@@ -107,7 +107,7 @@ def test_verify_discrepancy_at_k4_on_five_vertices(kind, tmp_path, capsys):
         path.write_text(text)
         assert cli.main(["verify", "--type", kind, "--graph", str(path), "-k", "4"]) == 0
         line = capsys.readouterr().out.strip()
-        inst = cli._GADGETS[kind](read_graph(path), 4, None, False)
+        inst = cli._GADGETS[kind](read_graph(path), 4, None)
         relation, expected = cli._expected_outcome(inst, clique)
         head = f"match: type={kind} k=4 clique={clique} expected=({relation}, {expected}) got="
         assert line.startswith(head), line
@@ -188,7 +188,7 @@ def test_box_reports_are_pinned_at_k4(graph, kind, tmp_path):
 
     path = tmp_path / "g.txt"
     path.write_text({"k5": K5_TEXT, "k4-free": K4_FREE_TEXT}[graph])
-    inst = cli._GADGETS[kind](read_graph(path), 4, None, False)
+    inst = cli._GADGETS[kind](read_graph(path), 4, None)
     solver, field, _ = cli._BOXES[inst.problem]
     rep = getattr(solvers, solver)(inst.points)
     got = (
@@ -225,7 +225,7 @@ def test_k5_box_reports_keep_their_pins_in_a_real_pool(tmp_path, monkeypatch):
     for (name, kind), pinned in PINNED_AT_K4.items():
         if name != "k5":
             continue
-        inst = cli._GADGETS[kind](graph, 4, None, False)
+        inst = cli._GADGETS[kind](graph, 4, None)
         solver, field, _ = cli._BOXES[inst.problem]
         rep = getattr(solvers, solver)(inst.points, workers=2)
         got = (str(getattr(rep, field)), cli._witness_text(rep.witness), getattr(rep, "side", None))
@@ -244,10 +244,10 @@ def test_halfspace_search_is_pinned_at_k4(tmp_path):
     path.write_text(K5_TEXT)
     normal = "-1369/8 -933/8 -179523/1432 -29646/179 -14823/184 -4392/23 -305/8 -610/3"
     witness = HalfSpace(tuple(map(F, normal.split())), F(-1655, 8))
-    inst = cli._GADGETS["halfspace"](read_graph(path), 4, None, False)
+    inst = cli._GADGETS["halfspace"](read_graph(path), 4, None)
     rep = solvers.solve_bichromatic_halfspace(inst.points, 4)
     assert (rep.feasible, rep.value, rep.witness, rep.candidates_evaluated) == (True, 4, witness, 1801)
-    inst = cli._GADGETS["net-halfspace"](read_graph(path), 4, None, False)
+    inst = cli._GADGETS["net-halfspace"](read_graph(path), 4, None)
     mask = [p.in_s for p in inst.points.points]
     rep = solvers.verify_epsilon_net(inst.points, mask, inst.params.eps, "halfspace")
     assert (rep.is_net, rep.violator, rep.candidates_evaluated) == (False, witness, 1801)
@@ -535,7 +535,7 @@ def test_every_gadget_type_has_a_solve_step(k3_file, tmp_path, capsys):
 
     graph = Graph.make(3, [(1, 2), (2, 3), (1, 3)])
     for kind, build in cli._GADGETS.items():
-        assert build(graph, 2, None, False).problem in cli._SOLVE, kind
+        assert build(graph, 2, None).problem in cli._SOLVE, kind
     assert set(cli._SOLVE) == set(gadgets.PROBLEMS)
     out = tmp_path / "mu0.json"
     argv = ["gadget", "--type", "empty-star", "--graph", k3_file, "-k", "2", "--mu", "0", "-o", str(out)]
@@ -569,10 +569,14 @@ def test_worker_counts_below_one_exit_two(k3_file, capsys):
 def test_flags_that_do_not_apply_exit_two(k3_file, tmp_path, capsys):
     out = tmp_path / "x.json"
     gadget = ["gadget", "--graph", k3_file, "-k", "2", "-o", str(out)]
-    for extra in (["--type", "star-disc", "--mu", "5"], ["--type", "star-disc", "--raw"],
-                  ["--type", "bichromatic", "--mu", "3"], ["--type", "empty-star", "--raw"]):
+    for extra in (["--type", "star-disc", "--mu", "5"], ["--type", "bichromatic", "--mu", "3"]):
         assert cli.main(gadget + extra) == 2, extra
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+    # No type takes --raw: every gadget is built inside the unit cube.
+    for kind in cli._GADGETS:
+        assert cli.main(gadget + ["--type", kind, "--raw"]) == 2, kind
+        assert "unrecognized arguments: --raw" in capsys.readouterr().err
         assert not out.exists()
     assert cli.main(gadget + ["--type", "star-disc"]) == 0
     capsys.readouterr()
@@ -581,7 +585,6 @@ def test_flags_that_do_not_apply_exit_two(k3_file, tmp_path, capsys):
     # Where the flags apply they are still read.
     assert cli.main(gadget + ["--type", "empty-star", "--mu", "3"]) == 0
     assert read_instance(str(out)).params.mu == 3
-    assert cli.main(gadget + ["--type", "redblue", "--raw"]) == 0
     assert cli.main(gadget + ["--type", "halfspace"]) == 0
     capsys.readouterr()
     assert cli.main(["solve", str(out), "--m", "3", "--json"]) == 0

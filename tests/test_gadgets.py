@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -30,6 +31,14 @@ def _coords(inst):
     return {p.coords for p in inst.points.points}
 
 
+def _raw(inst):
+    """`inst` with every coordinate multiplied by n + 1: a box gadget's
+    integer and half-integer construction coordinates."""
+    scale = inst.params.n + 1
+    pts = tuple(replace(p, coords=tuple(c * scale for c in p.coords)) for p in inst.points.points)
+    return replace(inst, points=replace(inst.points, points=pts))
+
+
 def test_graph_validation():
     with pytest.raises(ValueError, match="loops"):
         Graph.make(2, [(1, 1)])
@@ -52,7 +61,7 @@ def test_degenerate_reduction_errors(k3):
 
 
 def test_bichromatic_k3_counts_and_coordinates(k3):
-    inst = build_bichromatic_gadget(k3, 2, normalize=False)
+    inst = _raw(build_bichromatic_gadget(k3, 2))
     blues = inst.points.colored("blue")
     reds = inst.points.colored("red")
     assert len(blues) == 7 and len(reds) == 7 and inst.params.N == 14
@@ -64,7 +73,7 @@ def test_bichromatic_k3_counts_and_coordinates(k3):
 
 
 def test_bichromatic_empty_graph_kills_every_pair(empty2):
-    inst = build_bichromatic_gadget(empty2, 2, normalize=False)
+    inst = _raw(build_bichromatic_gadget(empty2, 2))
     reds = _coords(inst) - {p.coords for p in inst.points.colored("blue")}
     for u, v in product((1, 2), repeat=2):
         assert (F(u), F(3 - u), F(v), F(3 - v)) in reds
@@ -79,7 +88,7 @@ def test_normalized_coordinates_inside_unit_cube():
 
 def test_kill_points_deduplicated(k3):
     # loop kill points coincide across the two plane orders: 3 per plane pair
-    inst = build_bichromatic_gadget(k3, 2, normalize=False)
+    inst = _raw(build_bichromatic_gadget(k3, 2))
     reds = [p.coords for p in inst.points.colored("red")]
     assert len(reds) == len(set(reds)) == 7
 
@@ -94,7 +103,7 @@ def test_redblue_origin_weight_and_expected(k3):
 
 def test_redblue_per_plane_balance(k3):
     # in any contiguous run of a plane's diagonal scaffold, blue - red is 0 or 1
-    inst = build_bichromatic_gadget(k3, 2, normalize=False)
+    inst = _raw(build_bichromatic_gadget(k3, 2))
     n = k3.n
     for plane in (0, 1):
         row = []
@@ -371,10 +380,11 @@ def test_graph_classes_up_to_five_vertices():
 
 # One sha256 per gadget type over dumps_instance of its output on every graph
 # class with at most five vertices at k = 2 and 3 (bichromatic and redblue
-# normalized, then raw).  Pins every coordinate, constant and the point order.
+# as built, then scaled by `_raw`).  Pins every coordinate, constant and the
+# point order.
 _PINNED_BUILDS = {
-    "bichromatic": lambda g, k: [build_bichromatic_gadget(g, k), build_bichromatic_gadget(g, k, False)],
-    "redblue": lambda g, k: [build_redblue_gadget(g, k), build_redblue_gadget(g, k, False)],
+    "bichromatic": lambda g, k: [inst := build_bichromatic_gadget(g, k), _raw(inst)],
+    "redblue": lambda g, k: [inst := build_redblue_gadget(g, k), _raw(inst)],
     "empty-star": lambda g, k: [build_empty_star_gadget(g, k, F(2))],
     "star-disc": lambda g, k: [build_star_discrepancy_gadget(g, k)],
     "empty-box": lambda g, k: [build_empty_box_gadget(g, k)],

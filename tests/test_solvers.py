@@ -1100,7 +1100,8 @@ def test_grid_cells_counts_face_choices():
     random sets, on sets whose coordinates mix the denominators 2, 3, 5 and
     64 within a dimension, and on empty sets.  Outside the unit cube it
     counts by the same closed form rather than refusing: every pair of
-    distinct grid values and one pair per distinct coordinate."""
+    distinct grid values and one pair per distinct coordinate.  No solver
+    scans an anchored majority grid, so counting one raises."""
     from discrepancy.solvers import grid_cells
 
     rng = random.Random(61)
@@ -1118,18 +1119,18 @@ def test_grid_cells_counts_face_choices():
     for ps in sets:
         d = ps.dim
         free = anchored = 1
-        blue_pairs = blue_uppers = 1
+        blue_pairs = 1
         for j in range(d):
             coords = {p.coords[j] for p in ps.points}
             anchored *= len(coords | {F(1)})
             free *= sum(a <= b for a in coords | {F(0)} for b in coords | {F(1)})
             blues = {p.coords[j] for p in ps.colored("blue")}
             blue_pairs *= sum(a <= b for a in blues for b in blues)
-            blue_uppers *= len(blues)
         assert grid_cells(ps, True) == anchored
         assert grid_cells(ps, False) == free
         assert grid_cells(ps, False, ("blue",)) == blue_pairs
-        assert grid_cells(ps, True, ("blue",)) == blue_uppers
+        with pytest.raises(ValueError, match="anchored majority"):
+            grid_cells(ps, True, ("blue",))
     # (coordinates, free, anchored) with coordinates outside the cube.
     for coords, free, anchored in (((F(-1, 2),), 4, 2), ((F(3, 2),), 4, 2), ((F(-1), F(1)), 5, 2)):
         ps = PointSet(1, tuple(WeightedPoint((c,), "blue") for c in coords))
