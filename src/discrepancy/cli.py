@@ -90,15 +90,11 @@ def _witness_text(witness) -> str:
 # (the value verify compares, the printed value, the witness, extra fields).
 
 
-def _box_step(problem: str):
-    solver, field, extra = _BOXES[problem]
-
-    def step(inst: gadgets.GadgetInstance, workers: int, m=None):
-        rep = getattr(solvers, solver)(inst.points, workers=workers)
-        got = getattr(rep, field)
-        return got, format_rational(got), rep.witness, {key: getattr(rep, key) for key in extra}
-
-    return step
+def _box_step(inst: gadgets.GadgetInstance, workers: int, m=None):
+    solver, field, extra = _BOXES[inst.problem]
+    rep = getattr(solvers, solver)(inst.points, workers=workers)
+    got = getattr(rep, field)
+    return got, format_rational(got), rep.witness, {key: getattr(rep, key) for key in extra}
 
 
 def _halfspace_step(inst: gadgets.GadgetInstance, workers: int, m=None):
@@ -108,20 +104,17 @@ def _halfspace_step(inst: gadgets.GadgetInstance, workers: int, m=None):
     return rep.feasible, value, rep.witness, {"m": threshold, "blue_weight": rep.value}
 
 
-def _net_step(family: str):
-    def step(inst: gadgets.GadgetInstance, workers: int, m=None):
-        mask = [p.in_s for p in inst.points.points]
-        rep = solvers.verify_epsilon_net(inst.points, mask, inst.params.eps, family, workers=workers)
-        value = "is-net" if rep.is_net else "not-a-net"
-        return rep.is_net, value, rep.violator, {"eps": format_rational(inst.params.eps)}
-
-    return step
+def _net_step(inst: gadgets.GadgetInstance, workers: int, m=None):
+    mask = [p.in_s for p in inst.points.points]
+    family = inst.problem.removeprefix("net-")
+    rep = solvers.verify_epsilon_net(inst.points, mask, inst.params.eps, family, workers=workers)
+    value = "is-net" if rep.is_net else "not-a-net"
+    return rep.is_net, value, rep.violator, {"eps": format_rational(inst.params.eps)}
 
 
-_SOLVE = {problem: _box_step(problem) for problem in _BOXES}
+_SOLVE = dict.fromkeys(_BOXES, _box_step)
 _SOLVE["halfspace-bichromatic"] = _halfspace_step
-_SOLVE["net-halfspace"] = _net_step("halfspace")
-_SOLVE["net-box"] = _net_step("box")
+_SOLVE["net-halfspace"] = _SOLVE["net-box"] = _net_step
 
 
 def _expected_outcome(inst: gadgets.GadgetInstance, clique: bool):
@@ -139,12 +132,12 @@ def _expected_outcome(inst: gadgets.GadgetInstance, clique: bool):
     return ("is_net", not clique)
 
 
-def _verify(kind: str, graph: gadgets.Graph, k: int, workers: int, out) -> int:
+def _verify(kind: str, graph: gadgets.Graph, k: int, workers: int) -> int:
     inst = _GADGETS[kind](graph, k, None)
     clique = oracles.has_clique(graph, k)
     total = inst.points.total_weight
     if total != inst.params.N:
-        print(f"param mismatch: params.N={inst.params.N} but recomputed total weight {total}", file=out)
+        print(f"param mismatch: params.N={inst.params.N} but recomputed total weight {total}")
         return 1
     kind_, payload = _expected_outcome(inst, clique)
     got, _, witness, _ = _SOLVE[inst.problem](inst, workers)
@@ -157,10 +150,7 @@ def _verify(kind: str, graph: gadgets.Graph, k: int, workers: int, out) -> int:
     else:
         ok = got == payload
     status = "match" if ok else "MISMATCH"
-    print(
-        f"{status}: type={kind} k={k} clique={clique} expected=({kind_}, {payload}) got={got}",
-        file=out,
-    )
+    print(f"{status}: type={kind} k={k} clique={clique} expected=({kind_}, {payload}) got={got}")
     if not ok:
         edges = ",".join(f"{u}-{v}" for u, v in sorted(graph.edges)) or "none"
         print(
@@ -232,8 +222,7 @@ def _append_bench_rows(path: Path, rows) -> None:
         writer = csv.writer(fh)
         if new_file:
             writer.writerow(BENCH_HEADER)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +320,7 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         graph = instances.read_graph(args.graph)
-        return _verify(args.type, graph, args.k, _workers(args), sys.stdout)
+        return _verify(args.type, graph, args.k, _workers(args))
 
     if args.command == "bench":
         dims = [int(x) for x in args.dims.split(",") if x]

@@ -34,12 +34,10 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in s:
-        num, den = (int(part) for part in s.split("/"))
-        if den == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(s))
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -48,13 +46,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def instance_to_doc(inst: GadgetInstance) -> dict:
-    params: dict = {"k": inst.params.k, "n": inst.params.n, "N": inst.params.N}
-    if inst.params.t is not None:
-        params["t"] = inst.params.t
-    for name in _PARAM_RATIONALS:
-        value = getattr(inst.params, name)
-        if value is not None:
-            params[name] = format_rational(value)
+    params = {name: format_rational(value) if name in _PARAM_RATIONALS else value
+              for name, value in vars(inst.params).items() if value is not None}
     doc = {
         "dim": inst.points.dim,
         "problem": inst.problem,

@@ -98,8 +98,7 @@ side are still identical.  `candidates_evaluated` is too for star and
 box discrepancy (that grid size) and the empty star (its maximal empty
 orthants); for empty-box and majority scans it counts scored leaves (for
 a majority scan, those outside remembered subtrees), which in a pool
-depend on the partition.  Partitions never outnumber the CPUs, nor,
-for the continuous box scans, the first-dimension open intervals.
+depend on the partition.  Partitions never outnumber the CPUs.
 """
 
 from __future__ import annotations
@@ -526,9 +525,6 @@ def _solve_boxes(ps: PointSet, anchored: bool, empty: bool, workers: int):
     if any(x[0] < 0 or x[-2] > den for x, den in zip(ints, scales)):
         raise ValueError("coordinates outside [0,1]")
     scale = prod(scales)
-    # No more partitions than first-dimension open intervals.
-    r = len(ints[0]) - 1
-    workers = min(workers, r if anchored else r * (r - 1) // 2)
     pts = [rk + (p.weight * scale,) for rk, p in zip(ranks, ps.points)]
     weight = 1 if empty else ps.total_weight
     cells = None if empty and anchored else _cells(ints, ranks, anchored)

@@ -138,6 +138,12 @@ MUTANTS = [
         "key=lambda b: (-b[0], b[1])", "key=lambda b: -b[0]",
         ["tests/test_solvers.py::test_run_scan_merges_its_partitions"],
     ),
+    # Where fork does not exist, a solve runs in-process instead of raising.
+    (
+        "no-fork-fallback", "solvers.py",
+        "except (OSError, ValueError):", "except OSError:",
+        ["tests/test_solvers.py::test_a_pool_that_cannot_start_leaves_one_partition_in_process"],
+    ),
 ]
 
 TIMEOUT_S = 600

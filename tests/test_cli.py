@@ -80,6 +80,54 @@ def test_solve_output_independent_of_threads(edge_file, tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+K3_HALFSPACE = {
+    "type": "halfspace",
+    "normal": ["-30255/608", "-18425/304", "-725/32", "-75"],
+    "offset": "-2507/32",
+}
+K3_NET_BOX = {"type": "box", "closure": "closed", "lower": ["0"] * 4, "upper": ["1/4", "3/4", "1/2", "1/2"]}
+K3_HALFSPACE_TEXT = "half-space normal=(-30255/608, -18425/304, -725/32, -75) offset=-2507/32"
+
+# (graph, type) -> stdout of `solve` on its k = 2 instance, and the witness of `solve --json`.
+SOLVE_OUTPUTS = {
+    (K3_TEXT, "halfspace"): (
+        f"feasible\nwitness: {K3_HALFSPACE_TEXT}\nm: 2\nblue_weight: 2\n",
+        K3_HALFSPACE,
+    ),
+    (K3_TEXT, "net-halfspace"): (
+        f"not-a-net\nwitness: {K3_HALFSPACE_TEXT}\neps: 1/9\n",
+        K3_HALFSPACE,
+    ),
+    (K3_TEXT, "net-box"): (
+        "not-a-net\nwitness: closed box lower=(0, 0, 0, 0) upper=(1/4, 3/4, 1/2, 1/2)\neps: 3/14\n",
+        K3_NET_BOX,
+    ),
+    ("3 0\n", "halfspace"): ("infeasible\nwitness: none\nm: 2\nblue_weight: 0\n", None),
+    ("3 0\n", "net-halfspace"): ("is-net\nwitness: none\neps: 1/12\n", None),
+    ("3 0\n", "net-box"): ("is-net\nwitness: none\neps: 3/20\n", None),
+}
+
+
+@pytest.mark.parametrize("graph, kind", list(SOLVE_OUTPUTS))
+def test_solve_prints_halfspace_and_missing_witnesses(graph, kind, tmp_path, capsys):
+    """`solve` and `solve --json` on K3, which has a half-space witness, and
+    on the edgeless graph on three vertices, which has none."""
+    text, witness = SOLVE_OUTPUTS[graph, kind]
+    path, inst = tmp_path / "g.txt", tmp_path / "inst.json"
+    path.write_text(graph)
+    assert cli.main(["gadget", "--type", kind, "--graph", str(path), "-k", "2", "-o", str(inst)]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", str(inst)]) == 0
+    assert capsys.readouterr().out == text
+    assert cli.main(["solve", str(inst), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.pop("witness") == witness
+    value, _, *extra = text.splitlines()
+    assert doc.pop("problem") == read_instance(inst).problem
+    assert doc.pop("value") == value
+    assert {key: str(val) for key, val in doc.items()} == dict(line.split(": ") for line in extra)
+
+
 def test_verify_positive_and_negative(k3_file, tmp_path, capsys):
     assert cli.main(["verify", "--type", "star-disc", "--graph", k3_file, "-k", "2"]) == 0
     empty = tmp_path / "empty2.txt"
@@ -236,21 +284,23 @@ def test_k5_box_reports_keep_their_pins_in_a_real_pool(tmp_path, monkeypatch):
 
 
 def test_halfspace_search_is_pinned_at_k4(tmp_path):
-    """The k = 4 half-space search on K5, directly and as the eps-net check:
-    verdict, exact witness and LP count."""
+    """The k = 4 half-space search on K5 and on the K4-free graph, directly
+    and as the eps-net check: verdict, exact witness and LP count."""
     from discrepancy import HalfSpace, solvers
 
-    path = tmp_path / "k5.txt"
-    path.write_text(K5_TEXT)
+    path = tmp_path / "g.txt"
     normal = "-1369/8 -933/8 -179523/1432 -29646/179 -14823/184 -4392/23 -305/8 -610/3"
-    witness = HalfSpace(tuple(map(F, normal.split())), F(-1655, 8))
-    inst = cli._GADGETS["halfspace"](read_graph(path), 4, None)
-    rep = solvers.solve_bichromatic_halfspace(inst.points, 4)
-    assert (rep.feasible, rep.value, rep.witness, rep.candidates_evaluated) == (True, 4, witness, 1801)
-    inst = cli._GADGETS["net-halfspace"](read_graph(path), 4, None)
-    mask = [p.in_s for p in inst.points.points]
-    rep = solvers.verify_epsilon_net(inst.points, mask, inst.params.eps, "halfspace")
-    assert (rep.is_net, rep.violator, rep.candidates_evaluated) == (False, witness, 1801)
+    k5_witness = HalfSpace(tuple(map(F, normal.split())), F(-1655, 8))
+    for text, witness, blues, lps in ((K5_TEXT, k5_witness, 4, 1801), (K4_FREE_TEXT, None, 0, 5985)):
+        path.write_text(text)
+        found = witness is not None
+        inst = cli._GADGETS["halfspace"](read_graph(path), 4, None)
+        rep = solvers.solve_bichromatic_halfspace(inst.points, 4)
+        assert (rep.feasible, rep.value, rep.witness, rep.candidates_evaluated) == (found, blues, witness, lps)
+        inst = cli._GADGETS["net-halfspace"](read_graph(path), 4, None)
+        mask = [p.in_s for p in inst.points.points]
+        rep = solvers.verify_epsilon_net(inst.points, mask, inst.params.eps, "halfspace")
+        assert (rep.is_net, rep.violator, rep.candidates_evaluated) == (not found, witness, lps)
 
 
 # One sha256 over the stdout of `verify` for every gadget type on the 15
@@ -318,6 +368,31 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     bad.write_text("2 1\n1 1\n")
     assert cli.main(["gadget", "--type", "bichromatic", "--graph", str(bad), "-k", "2", "-o", str(tmp_path / "x.json")]) == 2
     assert cli.main(["solve", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "graph, error",
+    [
+        ("# a comment and nothing else\n\n", "empty graph file"),
+        ("3 x\n", "line 1: expected 'n m' header"),
+        ("3 1\n# the edge\n1\n", "line 3: expected 'u v'"),
+        ("0 0\n", "graph needs at least one vertex"),
+        (K3_TEXT, "threshold must be >= 1, got 0"),
+    ],
+)
+def test_malformed_input_exits_two_with_one_error_line(graph, error, tmp_path, capsys):
+    """A malformed graph file, or `solve --m 0` on the half-space instance
+    the one well-formed graph compiles to, exits 2 with one `error:` line
+    and no traceback."""
+    path, out = tmp_path / "g.txt", tmp_path / "inst.json"
+    path.write_text(graph)
+    argv = ["gadget", "--type", "halfspace", "--graph", str(path), "-k", "2", "-o", str(out)]
+    if graph == K3_TEXT:
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        argv = ["solve", str(out), "--m", "0"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_malformed_instance_files_exit_two(edge_file, tmp_path, capsys):

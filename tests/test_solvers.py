@@ -1002,13 +1002,14 @@ def test_worker_pool_is_capped(monkeypatch):
     assert (rep.value, rep.witness, rep.side) == (reference.value, reference.witness, reference.side)
     assert rep.candidates_evaluated == reference.candidates_evaluated
     assert solve_bichromatic_box(ps, workers=1000).value == solve_bichromatic_box(ps).value
-    # one point: its star grid has two first-dimension intervals, 1/2 and 1
+    # one point: two first-dimension upper faces, 1/2 and 1, for four
+    # partitions, so the partitions that find nothing are left out of the merge
     single = point_set(1, [((F(1, 2),), None, 1)])
     assert solve_star_discrepancy(single, workers=1000).value == F(1, 2)
     # three open intervals, (0, 1) and its halves; only the halves are empty
     empty = solve_max_empty_box(single, workers=1000)
     assert (empty.volume, empty.candidates_evaluated) == (F(1, 2), 2)
-    assert _InlinePool.sizes == [4, 4, 2, 3]
+    assert _InlinePool.sizes == [4, 4, 4, 4]
 
 
 def test_run_scan_merges_its_partitions(monkeypatch):
@@ -1048,6 +1049,22 @@ def test_run_scan_merges_its_partitions(monkeypatch):
     assert _InlinePool.sizes == [5, 5, 5]
 
 
+_BOX_SOLVES = (
+    solve_star_discrepancy,
+    solve_box_discrepancy,
+    solve_max_empty_star,
+    solve_max_empty_box,
+    solve_bichromatic_box,
+    solve_redblue_box_discrepancy,
+)
+
+
+def _box_reports(sets, workers):
+    """Each box solver's report on each set, as a dict without `elapsed`."""
+    reps = [fn(ps, workers=workers) for ps in sets for fn in _BOX_SOLVES]
+    return [{k: v for k, v in vars(r).items() if k != "elapsed"} for r in reps]
+
+
 def test_worker_counts_keep_the_one_worker_report(monkeypatch):
     import concurrent.futures
     import multiprocessing
@@ -1060,26 +1077,13 @@ def test_worker_counts_keep_the_one_worker_report(monkeypatch):
 
     rng = random.Random(59)
     sets = [_random_colored(rng, 2, 6), _random_colored(rng, 3, 4)]
-    solves = (
-        solve_star_discrepancy,
-        solve_box_discrepancy,
-        solve_max_empty_star,
-        solve_max_empty_box,
-        solve_bichromatic_box,
-        solve_redblue_box_discrepancy,
-    )
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-
-    def reports(workers):
-        reps = [fn(ps, workers=workers) for ps in sets for fn in solves]
-        return [{k: v for k, v in vars(r).items() if k != "elapsed"} for r in reps]
-
-    one = reports(1)
+    one = _box_reports(sets, 1)
     with monkeypatch.context() as m:
         m.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         # Below the crossover a solve is one scan, whatever the worker count.
-        assert reports(2) == one
-        assert reports(8) == one
+        assert _box_reports(sets, 2) == one
+        assert _box_reports(sets, 8) == one
     monkeypatch.setattr(solvers, "_FORK_CELLS", dict.fromkeys(solvers._FORK_CELLS, 0))
     # Pooled partitions keep the optimum, its witness and its side; their
     # scored-leaf counts depend on the partition, except for the closed-form
@@ -1088,11 +1092,47 @@ def test_worker_counts_keep_the_one_worker_report(monkeypatch):
     kept = ("value", "volume", "witness", "side", "feasible")
     whole = (solve_star_discrepancy, solve_box_discrepancy, solve_max_empty_star)
     for workers in (2, 8):
-        for i, (got, want) in enumerate(zip(reports(workers), one)):
+        for i, (got, want) in enumerate(zip(_box_reports(sets, workers), one)):
             assert {k: got[k] for k in kept if k in got} == {k: want[k] for k in kept if k in want}
-            if solves[i % len(solves)] in whole:
+            if _BOX_SOLVES[i % len(_BOX_SOLVES)] in whole:
                 assert got["candidates_evaluated"] == want["candidates_evaluated"]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("missing", ["fork", "pool"])
+def test_a_pool_that_cannot_start_leaves_one_partition_in_process(missing, monkeypatch):
+    """Where fork does not exist, `get_context("fork")` raises ValueError;
+    where no process can start, the pool raises OSError.  Either way, a
+    solve above its crossover runs as one partition in this process and
+    gives the 1-worker report in every field."""
+    import concurrent.futures
+    import multiprocessing
+    import os
+
+    from discrepancy import solvers
+
+    starts = []
+
+    def fails(error):
+        def start(*args, **kwargs):
+            starts.append(error)
+            raise error("no pool here")
+
+        return start
+
+    rng = random.Random(67)
+    sets = [_random_colored(rng, 2, 6), _random_colored(rng, 3, 4)]
+    one = _box_reports(sets, 1)
+    monkeypatch.setattr(solvers, "_FORK_CELLS", dict.fromkeys(solvers._FORK_CELLS, 0))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    if missing == "fork":
+        monkeypatch.setattr(multiprocessing, "get_context", fails(ValueError))
+    else:
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fails(OSError))
+    assert _box_reports(sets, 2) == one
+    # Each scan tried to start a pool: one per solve, two for red-blue's
+    # passes, none for the empty star.
+    assert len(starts) == 6 * len(sets)
 
 
 def test_grid_cells_counts_face_choices():
