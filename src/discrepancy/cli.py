@@ -183,10 +183,10 @@ BENCH_HEADER = ("problem", "d", "n_points", "candidates_evaluated", "elapsed_ms"
 
 
 def bench_scaling(problem: str, dims, sizes, seed: int, cutoff: int):
-    """One row per (d, n): exact candidate count and the solver's own wall
-    time after one warm-up run; a row whose grid size (`grid_cells`, which
-    bounds the count and equals it only for star and box discrepancy) passes
-    the cutoff is skipped, with that size as its count.  Raises ValueError,
+    """One row per (d, n): the solver's exact candidate count and its own
+    wall time after one warm-up run; a row whose grid size (`grid_cells`,
+    which bounds the count and equals it only for star and box discrepancy)
+    passes the cutoff is skipped, with both fields empty.  Raises ValueError,
     before any set is built, on a dimension outside 1..MAX_SCAN_DIM, a size
     outside 1..MAX_GADGET_POINTS, or a d * n above MAX_GADGET_POINTS."""
     for name, values, top in (
@@ -207,7 +207,7 @@ def bench_scaling(problem: str, dims, sizes, seed: int, cutoff: int):
             ps = _random_point_set(rng, d, n, colored)
             projected = _projected_candidates(problem, ps)
             if projected > cutoff:
-                rows.append((problem, d, n, projected, "", "skipped"))
+                rows.append((problem, d, n, "", "", "skipped"))
                 continue
             solve = getattr(solvers, _BOXES[problem][0])
             solve(ps)  # warm-up

@@ -123,9 +123,6 @@ def instance_from_doc(doc: dict) -> GadgetInstance:
         coords = _expect(_required(entry, "coords", f"points[{i}]."), list, "coords")
         if len(coords) != dim:
             raise ValueError("coords length does not match dim")
-        for c in coords:
-            if not isinstance(c, str):
-                raise ValueError(f"coordinates must be 'p/q' strings, got {c!r}")
         in_s = entry.get("in_S", False)
         if not isinstance(in_s, bool):
             raise ValueError(f"in_S must be true or false, got {in_s!r}")

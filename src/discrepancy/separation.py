@@ -17,7 +17,10 @@ A phase-1 optimum of 0 means the alternative is feasible, so the result is
 None.  Otherwise the simplex multipliers pi of the final basis satisfy
 pi[:nvars] . A_i <= pi[nvars] b_i for every constraint (the reduced costs
 of the constraint columns are nonnegative), and pi[nvars] is the positive
-optimum, so x = pi[:nvars] / pi[nvars] satisfies every row exactly.
+optimum, so x = pi[:nvars] / pi[nvars] satisfies every row exactly.  A
+zero row's column (0, ..., 0, -b_i) is priced like any other: pi[nvars],
+the phase-1 objective, is >= 0, so the column never enters when b_i >= 0,
+and when b_i < 0 phase 1 ends at 0.
 
 Pivoting uses Bland's rule (smallest-index entering column, smallest basis
 index on ratio ties), which terminates without cycling; artificials never
@@ -48,16 +51,14 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-ZERO = Fraction(0)
-
 Constraint = tuple[Sequence[int], int]
 
 
 def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[list[Fraction]]:
     """A point satisfying coeffs . x <= rhs for every constraint, or None.
-    Entries must be int; anything else, a Fraction or a bool included,
-    raises ValueError.  Pivots the k x k basis adjugate only and prices
-    each constraint column on demand (see the module docstring)."""
+    Every entry of every row must be int, checked before any pivot; anything
+    else, a Fraction or a bool included, raises ValueError.  Column i is row
+    i, zero rows included; with no nonzero row, x is all ones."""
     # Column i of the alternative is (A_i, -b_i).
     columns = []
     for coeffs, rhs in constraints:
@@ -66,14 +67,8 @@ def feasible_point(constraints: Sequence[Constraint], nvars: int) -> Optional[li
             raise ValueError("dimension mismatch")
         if set(map(type, column)) != {int}:
             raise ValueError("entries must be int")
-        if not any(column[:nvars]):
-            if rhs < 0:
-                return None
-            continue
         column[nvars] = -rhs
         columns.append(column)
-    if not columns:
-        return [ZERO] * nvars
 
     # The artificials, one per row, start as the basis: inv = I, det = 1,
     # and each starts with cost 1, so dpi is all ones (phase 1 minimizes

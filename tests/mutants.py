@@ -76,6 +76,13 @@ MUTANTS = [
         "(diff == 0 and basis[i] < basis[leaving])", "(diff == 0 and basis[i] > basis[leaving])",
         ["tests/test_separation.py"],
     ),
+    # Every row is checked before any verdict, a zero row's included.
+    (
+        "lp-zero-row-shortcut", "separation.py",
+        "column[nvars] = -rhs\n",
+        "column[nvars] = -rhs\n        if not any(column[:nvars]) and rhs < 0:\n            return None\n",
+        ["tests/test_separation.py"],
+    ),
     # The critical grid and its walls.
     (
         "grid-no-walls", "solvers.py",

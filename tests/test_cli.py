@@ -410,6 +410,35 @@ def test_malformed_instance_files_exit_two(edge_file, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def _coordinate_number(doc):
+    doc["points"][0]["coords"][0] = 0.5
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda doc: dict(doc, problem="nope"), "unknown problem: nope"),
+        (lambda doc: dict(doc, expected_positive=True), "expected value must be an integer or 'p/q' string"),
+        (lambda doc: dict(doc, expected_positive=[1]), "expected value must be an integer or 'p/q' string, got [1]"),
+        (lambda doc: dict(doc, params=dict(doc["params"], mu=2)), "not a rational literal: 2"),
+        (lambda doc: dict(doc, dim=0, points=[]), "dimension must be >= 1"),
+        (_coordinate_number, "not a rational literal: 0.5"),
+    ],
+    ids=["problem", "expected-bool", "expected-list", "mu-number", "dim-zero", "coordinate-number"],
+)
+def test_malformed_instance_fields_exit_two_with_one_error_line(edit, error, edge_file, tmp_path, capsys):
+    """Each malformed field of an empty-star instance file makes `solve`
+    exit 2 with one `error:` line naming it and nothing on stdout."""
+    good = tmp_path / "es.json"
+    cli.main(["gadget", "--type", "empty-star", "--graph", edge_file, "-k", "2", "-o", str(good)])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(json.loads(good.read_text()))))
+    capsys.readouterr()
+    assert cli.main(["solve", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_deeply_nested_instance_files_exit_two(edge_file, tmp_path, capsys):
     """json.loads raises RecursionError, not ValueError, on deep nesting;
     solve reports it as one error line instead of a traceback."""
@@ -447,7 +476,8 @@ def test_bench_rows_and_skip(tmp_path, capsys):
     ])
     assert rc == 0
     rows = list(csv.reader(out.open()))
-    assert rows[-1][5] == "skipped"
+    # A skipped row has no solver count and no time.
+    assert rows[-1][3:] == ["", "", "skipped"]
 
 
 def test_bench_bounds_sizes_and_dims_before_building(tmp_path, monkeypatch, capsys):

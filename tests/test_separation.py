@@ -49,9 +49,18 @@ def test_negative_rhs_needs_artificials():
 
 
 def test_trivial_rows():
-    assert _solve([((F(0),), F(1))], 1) == [F(0)]
+    # With no nonzero row nothing enters, and the witness is all ones.
+    assert _solve([((F(0),), F(1))], 1) == [F(1)]
     assert _solve([((F(0),), F(-1))], 1) is None
-    assert _solve([], 3) == [F(0)] * 3
+    assert _solve([], 3) == [F(1)] * 3
+
+
+def test_a_zero_row_does_not_hide_a_later_bad_row():
+    # An infeasible zero row decides nothing before every row is checked.
+    with pytest.raises(ValueError):
+        feasible_point([((0,), -1), ((F(1),), 1)], 1)
+    with pytest.raises(ValueError):
+        feasible_point([((0,), -1), ((1, 2), 1)], 1)
 
 
 def test_separation_system_margin_form():
@@ -232,7 +241,7 @@ def _pinned_systems(rng):
 # One sha256 over (verdict, exact witness) on every pinned system.  Bland's
 # choices fix one witness per system, so any change to an entering column,
 # a leaving row or a multiplier shows here.
-FEASIBLE_POINT_DIGEST = "180f5fa397c17b9545ee2ce849bf67beb90021057820cb1cb47ea40fc2a88e30"
+FEASIBLE_POINT_DIGEST = "1629268586c10096e8e6dc9a0c3a2c1a9ed541b133e58ea639cc7511a5cdb845"
 
 
 def test_verdicts_and_witnesses_are_pinned():
