@@ -47,43 +47,32 @@ _BOXES = {
 }
 
 
+# Witness class -> its type name in `solve --json`.
+_WITNESS_TYPES = {AnchoredBox: "anchored-box", Box: "box", HalfSpace: "halfspace"}
+
+
 def _witness_doc(witness):
+    """The witness's type name and fields: `closed` as its `closure`,
+    `offset` as one rational, every other field as a list of rationals."""
     if witness is None:
         return None
-    if isinstance(witness, AnchoredBox):
-        return {
-            "type": "anchored-box",
-            "upper": [format_rational(c) for c in witness.upper],
-            "closure": "closed" if witness.closed else "open",
-        }
-    if isinstance(witness, Box):
-        return {
-            "type": "box",
-            "lower": [format_rational(c) for c in witness.lower],
-            "upper": [format_rational(c) for c in witness.upper],
-            "closure": "closed" if witness.closed else "open",
-        }
-    if isinstance(witness, HalfSpace):
-        return {
-            "type": "halfspace",
-            "normal": [format_rational(c) for c in witness.normal],
-            "offset": format_rational(witness.offset),
-        }
-    raise TypeError(f"unknown witness type: {type(witness)!r}")
+    doc = {"type": _WITNESS_TYPES[type(witness)]}
+    for name, value in vars(witness).items():
+        if name == "closed":
+            doc["closure"] = "closed" if value else "open"
+        else:
+            doc[name] = format_rational(value) if name == "offset" else [format_rational(c) for c in value]
+    return doc
 
 
 def _witness_text(witness) -> str:
     doc = _witness_doc(witness)
     if doc is None:
         return "none"
-    if doc["type"] == "anchored-box":
-        return f"{doc['closure']} anchored box upper=({', '.join(doc['upper'])})"
-    if doc["type"] == "box":
-        return (
-            f"{doc['closure']} box lower=({', '.join(doc['lower'])}) "
-            f"upper=({', '.join(doc['upper'])})"
-        )
-    return f"half-space normal=({', '.join(doc['normal'])}) offset={doc['offset']}"
+    if doc["type"] == "halfspace":
+        return f"half-space normal=({', '.join(doc['normal'])}) offset={doc['offset']}"
+    faces = " ".join(f"{side}=({', '.join(doc[side])})" for side in ("lower", "upper") if side in doc)
+    return f"{doc['closure']} {doc['type'].replace('-', ' ')} {faces}"
 
 
 # A solve step maps (instance, workers, half-space threshold or None) to
@@ -124,7 +113,7 @@ def _expected_outcome(inst: gadgets.GadgetInstance, clique: bool):
         return ("eq" if clique else "le", inst.expected_positive if clique else inst.expected_positive - 1)
     if problem in ("redblue-disc", "star-disc", "box-disc"):
         return ("eq" if clique else "lt", inst.expected_positive)
-    if problem in ("empty-star", "empty-box"):
+    if inst.expected_negative is not None:
         # A no-instance stays at or below C^k/mu, attained iff a (k-1)-clique.
         return ("eq", inst.expected_positive) if clique else ("le", inst.expected_negative)
     if problem == "halfspace-bichromatic":
@@ -141,14 +130,9 @@ def _verify(kind: str, graph: gadgets.Graph, k: int, workers: int) -> int:
         return 1
     kind_, payload = _expected_outcome(inst, clique)
     got, _, witness, _ = _SOLVE[inst.problem](inst, workers)
-    if kind_ == "lt":
-        ok = got < payload
-    elif kind_ == "le":
-        ok = got <= payload
-        if inst.problem in ("empty-star", "empty-box"):
-            ok = ok and (got == payload) == oracles.has_clique(graph, k - 1)
-    else:
-        ok = got == payload
+    ok = got < payload if kind_ == "lt" else got <= payload if kind_ == "le" else got == payload
+    if kind_ == "le" and inst.expected_negative is not None:
+        ok = ok and (got == payload) == oracles.has_clique(graph, k - 1)
     status = "match" if ok else "MISMATCH"
     print(f"{status}: type={kind} k={k} clique={clique} expected=({kind_}, {payload}) got={got}")
     if not ok:

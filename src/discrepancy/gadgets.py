@@ -9,8 +9,9 @@ of per-plane choices whenever the corresponding vertices are not adjacent
 achieving the instance's expected value must therefore select k pairwise
 adjacent vertices, and conversely any k-clique yields such a range.
 
-One helper, `_kill_points`, builds the kill points of every gadget from a
-per-vertex corner, once per unordered plane pair i < j and bad vertex pair.
+`_embed` is the one placement of plane coordinates for every gadget point,
+and `_kill_points` builds every gadget's kill points from a per-vertex
+corner, once per unordered plane pair i < j and bad vertex pair.
 `_colored_gadget` assembles the box and half-space reductions around them,
 which differ only in where their points sit, and `_tuned_hyperbola` the
 hyperbolic ones.  So every gadget knows its point count N before it is
@@ -129,40 +130,26 @@ def _check_reduction_size(g: Graph, k: int, scaffold: int) -> int:
     return n_points
 
 
-def _embed(k: int, plane: int, x: Fraction, y: Fraction) -> Point:
+def _embed(k: int, planes: dict) -> Point:
+    """The 2k-dimensional point with planes[i] in plane i, zeros elsewhere."""
     coords = [ZERO] * (2 * k)
-    coords[2 * plane - 2] = Fraction(x)
-    coords[2 * plane - 1] = Fraction(y)
+    for i, xy in planes.items():
+        coords[2 * i - 2 : 2 * i] = xy
     return tuple(coords)
 
 
-def _bad_vertex_pairs(g: Graph):
-    """Ordered vertex pairs that may not be chosen together: equal vertices
-    (a vertex cannot be picked in two planes) and non-adjacent pairs."""
-    return [
-        (u, v)
-        for u in range(1, g.n + 1)
-        for v in range(1, g.n + 1)
-        if u == v or not g.has_edge(u, v)
-    ]
-
-
 def _kill_points(g: Graph, k: int, corner: dict) -> list[Point]:
-    """One kill point per plane pair i < j and bad vertex pair (u, v):
-    corner[u] in plane i, corner[v] in plane j, zeros elsewhere, sorted.
+    """One kill point per plane pair i < j and bad vertex pair (u, v), with
+    u = v (no vertex is picked twice) or uv not an edge: corner[u] in plane
+    i, corner[v] in plane j, zeros elsewhere, sorted.
 
     The bad pairs are symmetric, so the pair (j, i) with (u, v) would give
     the same point as (i, j) with (v, u); walking only i < j builds each
     point once."""
-    bad = _bad_vertex_pairs(g)
-    points = []
-    for i, j in combinations(range(1, k + 1), 2):
-        for u, v in bad:
-            coords = [ZERO] * (2 * k)
-            coords[2 * i - 2 : 2 * i] = corner[u]
-            coords[2 * j - 2 : 2 * j] = corner[v]
-            points.append(tuple(coords))
-    return sorted(points)
+    vertices = range(1, g.n + 1)
+    bad = [(u, v) for u in vertices for v in vertices if u == v or not g.has_edge(u, v)]
+    pairs = combinations(range(1, k + 1), 2)
+    return sorted(_embed(k, {i: corner[u], j: corner[v]}) for i, j in pairs for u, v in bad)
 
 
 def _colored_gadget(g: Graph, k: int, blue_at, red_at, kill_at, problem: str, expected) -> GadgetInstance:
@@ -171,8 +158,8 @@ def _colored_gadget(g: Graph, k: int, blue_at, red_at, kill_at, problem: str, ex
     vertex v; in each plane a red at every entry of red_at; then the red
     kill points of `kill_at`."""
     planes = range(1, k + 1)
-    blues = [(ZERO,) * (2 * k)] + [_embed(k, i, *blue_at[v]) for i in planes for v in range(1, g.n + 1)]
-    reds = [_embed(k, i, *xy) for i in planes for xy in red_at] + _kill_points(g, k, kill_at)
+    blues = [(ZERO,) * (2 * k)] + [_embed(k, {i: blue_at[v]}) for i in planes for v in range(1, g.n + 1)]
+    reds = [_embed(k, {i: xy}) for i in planes for xy in red_at] + _kill_points(g, k, kill_at)
     pts = [WeightedPoint(p, BLUE, 1) for p in blues] + [WeightedPoint(p, RED, 1) for p in reds]
     points = PointSet(2 * k, tuple(pts))
     params = GadgetParams(k=k, n=g.n, N=points.total_weight)
@@ -240,7 +227,7 @@ def build_empty_star_gadget(g: Graph, k: int, mu: Fraction) -> GadgetInstance:
     n = g.n
     C = Fraction(1) / mu ** (n - 1)
     scaffold = [
-        _embed(k, i, C * mu ** (u - 1), mu ** (-u)) for i in range(1, k + 1) for u in range(n + 1)
+        _embed(k, {i: (C * mu ** (u - 1), mu ** (-u))}) for i in range(1, k + 1) for u in range(n + 1)
     ]
     corner = {u: (C * mu ** (u - 2), mu ** (-u)) for u in range(1, n + 1)}
     coords = scaffold + _kill_points(g, k, corner)

@@ -75,13 +75,11 @@ def _value_to_json(value) -> Union[int, str]:
 
 
 def _value_from_json(value):
-    if isinstance(value, bool):
-        raise ValueError("expected value must be an integer or 'p/q' string")
-    if isinstance(value, int):
-        return value
     if isinstance(value, str):
         return parse_rational(value)
-    raise ValueError(f"expected value must be an integer or 'p/q' string, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected value must be an integer or 'p/q' string, got {value!r}")
+    return value
 
 
 def _expect(value, kind: type, what: str):

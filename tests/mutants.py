@@ -139,6 +139,18 @@ MUTANTS = [
         "if 2 * k > MAX_SCAN_DIM:", "if False:",
         ["tests/test_cli.py::test_gadgets_above_the_dimension_bound_exit_two_before_building"],
     ),
+    # verify's no-instance rules: a discrepancy stays strictly below its
+    # target, and an empty range reaches C^k/mu iff a (k-1)-clique exists.
+    (
+        "verify-lt-inclusive", "cli.py",
+        "got < payload", "got <= payload",
+        ["tests/test_cli.py::test_verify_no_instance_boundaries_are_mismatches"],
+    ),
+    (
+        "verify-no-subclique-rule", "cli.py",
+        "ok = ok and (got == payload) == oracles.has_clique(graph, k - 1)", "ok = ok",
+        ["tests/test_cli.py::test_verify_no_instance_boundaries_are_mismatches"],
+    ),
     # Partitions merge to the smallest key on a value tie.
     (
         "merge-first-partition", "solvers.py",

@@ -345,6 +345,55 @@ def test_verify_mismatch_exits_one(k3_file, monkeypatch, capsys):
     )
 
 
+def _at_positive(inst):
+    return inst.expected_positive
+
+
+def _at_negative(inst):
+    return inst.expected_negative
+
+
+def _below_negative(inst):
+    return inst.expected_negative / 2
+
+
+@pytest.mark.parametrize(
+    "kind, graph, k, reported",
+    [
+        ("star-disc", EMPTY2_TEXT, 2, _at_positive),
+        ("box-disc", EMPTY2_TEXT, 2, _at_positive),
+        ("redblue", EMPTY2_TEXT, 2, _at_positive),
+        ("empty-star", "3 0\n", 3, _at_negative),
+        ("empty-box", "3 0\n", 3, _at_negative),
+        ("empty-star", "3 1\n1 2\n", 3, _below_negative),
+        ("empty-box", "3 1\n1 2\n", 3, _below_negative),
+    ],
+    ids=["star-disc", "box-disc", "redblue", "empty-star-at-bound", "empty-box-at-bound",
+         "empty-star-below-bound", "empty-box-below-bound"],
+)
+def test_verify_no_instance_boundaries_are_mismatches(kind, graph, k, reported, tmp_path, monkeypatch, capsys):
+    """On a no-instance, verify refuses a discrepancy equal to
+    expected_positive, an empty range at expected_negative without a
+    (k-1)-clique, and one below expected_negative with a (k-1)-clique."""
+    from dataclasses import replace
+
+    from discrepancy import solvers
+
+    path = tmp_path / "g.txt"
+    path.write_text(graph)
+    inst = cli._GADGETS[kind](read_graph(path), k, None)
+    solver, field, _ = cli._BOXES[inst.problem]
+    real = getattr(solvers, solver)
+
+    def stub(ps, workers=1):
+        return replace(real(ps, workers=workers), **{field: reported(inst)})
+
+    monkeypatch.setattr(solvers, solver, stub)
+    assert cli.main(["verify", "--type", kind, "--graph", str(path), "-k", str(k)]) == 1
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"MISMATCH: type={kind} k={k} clique=False "), line
+
+
 def test_verify_param_mismatch_exits_one(k3_file, monkeypatch, capsys):
     from dataclasses import replace
 
@@ -419,7 +468,7 @@ def _coordinate_number(doc):
     "edit, error",
     [
         (lambda doc: dict(doc, problem="nope"), "unknown problem: nope"),
-        (lambda doc: dict(doc, expected_positive=True), "expected value must be an integer or 'p/q' string"),
+        (lambda doc: dict(doc, expected_positive=True), "expected value must be an integer or 'p/q' string, got True"),
         (lambda doc: dict(doc, expected_positive=[1]), "expected value must be an integer or 'p/q' string, got [1]"),
         (lambda doc: dict(doc, params=dict(doc["params"], mu=2)), "not a rational literal: 2"),
         (lambda doc: dict(doc, dim=0, points=[]), "dimension must be >= 1"),
@@ -737,13 +786,13 @@ def test_halfspace_subset_projection_over_the_cap_exits_two(k3_file, tmp_path, c
 
 def test_oversized_gadget_exits_two_before_building(k3_file, tmp_path, monkeypatch, capsys):
     """A gadget of more than `gadgets.MAX_GADGET_POINTS` points is refused
-    from its closed-form count: no bad vertex pair or point is built."""
+    from its closed-form count: no point is built."""
     from discrepancy import gadgets
 
     def unreachable(*args):
         raise AssertionError("a refused gadget was built")
 
-    for name in ("_bad_vertex_pairs", "_kill_points", "_embed"):
+    for name in ("_kill_points", "_embed"):
         monkeypatch.setattr(gadgets, name, unreachable)
     big = tmp_path / "big.txt"
     big.write_text("1000000 0\n")
@@ -773,7 +822,7 @@ def test_gadgets_above_the_dimension_bound_exit_two_before_building(edge_file, t
     def started(*args):
         raise Built
 
-    for name in ("_bad_vertex_pairs", "_kill_points", "_embed"):
+    for name in ("_kill_points", "_embed"):
         monkeypatch.setattr(gadgets, name, started)
     out = tmp_path / "out.json"
     k = MAX_SCAN_DIM // 2 + 1

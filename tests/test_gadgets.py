@@ -188,6 +188,8 @@ def test_choose_mu_examples():
     assert choose_mu(3, 4, 50) == (1200, F(1201, 1200))
     t, mu = choose_mu(2, 3, 20)
     assert mu ** 4 < F(20, 19)
+    with pytest.raises(ValueError, match="parameters too small for the gap bound"):
+        choose_mu(1, 3, 5)
 
 
 def test_choose_mu_bound_sweep():

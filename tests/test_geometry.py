@@ -84,6 +84,18 @@ def test_count_dimension_mismatch():
     ps = point_set(2, [((F(1, 2), F(1, 2)), None, 1)])
     with pytest.raises(ValueError, match="dimension mismatch"):
         count_in_box(ps, AnchoredBox((F(1, 2),), closed=True))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Box((F(0), F(0)), (F(1),), closed=True)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        halfspace_counts(ps, HalfSpace((F(1),), F(1, 2)))
+
+
+def test_boxes_refuse_corners_out_of_order_or_outside_the_cube():
+    for upper, closed in (((F(3, 2),), True), ((F(-1, 2),), False)):
+        with pytest.raises(ValueError, match="anchored corner outside the unit cube"):
+            AnchoredBox(upper, closed)
+    with pytest.raises(ValueError, match="box has lower > upper"):
+        Box((F(1),), (F(0),), closed=True)
 
 
 def test_box_volume():

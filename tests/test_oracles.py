@@ -49,6 +49,11 @@ def test_separable_trivial_and_witnessed():
     assert separable_subset([(F(0), F(0)), (F(1), F(0))], [(F(1, 2), F(1))])
 
 
+def test_separable_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        separable_subset([(F(0),)], [(F(1), F(1))])
+
+
 def test_separable_monotone():
     rng = random.Random(33)
     for _ in range(30):
@@ -68,6 +73,7 @@ def test_naive_examples():
     ps = point_set(2, [((F(1, 2), F(1, 2)), None, 1)])
     assert naive_range_enumerate(ps, "star-disc") == F(3, 4)
     assert naive_range_enumerate(ps, "empty-box") == F(1, 2)
+    assert naive_range_enumerate(PointSet(2, ()), "empty-box") == 1
     rb = point_set(1, [((F(1, 2),), "blue", 1), ((F(3, 4),), "red", 1)])
     assert naive_range_enumerate(rb, "redblue-disc") == 1
 
